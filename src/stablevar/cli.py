@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -77,13 +76,16 @@ def read_series(path: str) -> tuple[np.ndarray, dict]:
                 if len(fields) != 2:
                     raise ValueError("expected 'index,value'")
                 int(fields[0])
-                values.append(float(fields[1]))
+                value = float(fields[1])
             else:
                 if len(fields) != 1:
                     raise ValueError("expected a single value")
-                values.append(float(fields[0]))
+                value = float(fields[0])
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite value {value!r}")
         except ValueError as exc:
             raise CSVParseError(k, str(exc)) from exc
+        values.append(value)
     if not values:
         raise CSVParseError(len(raw) + 1, "no data lines found")
     return np.asarray(values), config

@@ -5,8 +5,6 @@ over (C, p). The estimates are alpha* = p*/2 and C*."""
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,17 +17,6 @@ from stablevar.stable_law import StableParams
 
 class EstimationError(RuntimeError):
     pass
-
-
-def _thread_map(fn, items):
-    """Order-preserving map, threaded when STABLEVAR_THREADS > 1. Results are
-    gathered in input order, so output does not depend on the thread count."""
-    workers = int(os.environ.get("STABLEVAR_THREADS", "1"))
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -101,25 +88,43 @@ def empirical_cdf(values) -> EmpiricalCDF:
 
 def ks_distance(values, c_prime: float) -> float:
     """sup_{x>=0} |G(x) - F_{1/2,c'}(x)| by the exact sorted-sample formula."""
-    if not c_prime > 0.0:
-        raise ValueError("c_prime must be positive")
     xs = np.sort(np.asarray(values, dtype=float))
-    return _ks_sorted(xs, c_prime)
+    return float(_ks_sorted(xs, c_prime))
 
 
-def _ks_sorted(xs_sorted: np.ndarray, c_prime: float) -> float:
+def _ks_sorted(xs_sorted: np.ndarray, c_primes):
+    """ks_distance of a sorted sample for each c' in c_primes at once, as one
+    (len(c_primes), m) broadcast; a scalar c' gives a 0-d result."""
     m = len(xs_sorted)
-    f = ref_cdf_half_stable(c_prime, xs_sorted)
+    f = ref_cdf_half_stable(np.asarray(c_primes, dtype=float)[..., None], xs_sorted)
     i = np.arange(1, m + 1)
-    d_plus = np.max(i / m - f)
-    d_minus = np.max(f - (i - 1) / m)
-    return float(max(d_plus, d_minus, 0.0))
+    d_plus = np.max(i / m - f, axis=-1)
+    d_minus = np.max(f - (i - 1) / m, axis=-1)
+    return np.maximum(np.maximum(d_plus, d_minus), 0.0)
 
 
-def _c_prime_coupled(c: float, p: float) -> float:
-    """Scale transfer under the reference coupling alpha = p/2, the choice
-    that makes the limiting law exactly half-stable."""
-    return limit_scale(StableParams(p / 2.0, c, 0.0), p).c_prime
+def _c_prime_coupled(c, p: float):
+    """Scale transfer C' = C^p k(p), k(p) = C'(1, p), under the coupling
+    alpha = p/2 that makes the limit exactly half-stable; c may be an array.
+    Scalar pow, as in limit_scale (numpy's array power may differ by an ulp)."""
+    c = np.asarray(c, dtype=float)
+    if not np.all(c > 0.0):
+        raise ValueError("C must be positive")
+    k = limit_scale(StableParams(p / 2.0, 1.0, 0.0), p).c_prime
+    c_prime = np.array([ci ** float(p) for ci in c.ravel().tolist()]).reshape(c.shape) * k
+    return float(c_prime) if c_prime.ndim == 0 else c_prime
+
+
+def _strict_local_minima(d: np.ndarray) -> np.ndarray:
+    """Mask of the cells strictly below all of their (up to 8) grid neighbors."""
+    rows, cols = d.shape
+    padded = np.pad(d, 1, constant_values=np.inf)
+    mask = np.ones(d.shape, dtype=bool)
+    for di in (0, 1, 2):
+        for dj in (0, 1, 2):
+            if (di, dj) != (1, 1):
+                mask &= d < padded[di: di + rows, dj: dj + cols]
+    return mask
 
 
 @dataclass(frozen=True)
@@ -134,6 +139,30 @@ class KSSurface:
     local_minima: list = field(default_factory=list)
     tie_count: int = 1
 
+    @classmethod
+    def from_values(cls, c_grid, p_grid, d) -> "KSSurface":
+        """Locate the minimum of d, its ties, and the secondary local minima
+        (cells strictly below all 8 neighbors), sorted by D."""
+        bad = np.argwhere(~np.isfinite(d))
+        if len(bad) > 0:
+            i, j = bad[0]
+            raise EstimationError(
+                f"non-finite distance at grid point C={c_grid[i]}, p={p_grid[j]}"
+            )
+        i0, j0 = np.unravel_index(int(np.argmin(d)), d.shape)
+        d_min = float(d[i0, j0])
+        minima = [
+            (float(c_grid[i]), float(p_grid[j]), float(d[i, j]))
+            for i, j in np.argwhere(_strict_local_minima(d))
+        ]
+        minima.sort(key=lambda t: t[2])
+        return cls(
+            c_grid, p_grid, d,
+            argmin=(float(c_grid[i0]), float(p_grid[j0]), d_min),
+            local_minima=minima,
+            tie_count=int(np.sum(d == d_min)),
+        )
+
     def on_boundary(self) -> bool:
         i = int(np.argmin(np.abs(self.c_grid - self.argmin[0])))
         j = int(np.argmin(np.abs(self.p_grid - self.argmin[1])))
@@ -143,49 +172,18 @@ class KSSurface:
 
 
 def ks_surface(blocked: BlockedSeries, c_grid, p_grid) -> KSSurface:
-    """Evaluate D_n(C, p) on the full grid and locate the minimum and any
-    secondary local minima (grid cells strictly below all 8 neighbors)."""
+    """Evaluate D_n(C, p) on the full grid, one broadcast over C per p."""
     c_grid = np.asarray(c_grid, dtype=float)
     p_grid = np.asarray(p_grid, dtype=float)
     if len(c_grid) == 0 or len(p_grid) == 0:
         raise ValueError("grids must be non-empty")
     if np.any(c_grid <= 0.0) or np.any(p_grid <= 0.0):
         raise ValueError("grids must be positive")
-
-    def column(p):
-        stats = np.sort(block_statistics(blocked, p))
-        return np.array([_ks_sorted(stats, _c_prime_coupled(c, p)) for c in c_grid])
-
-    cols = _thread_map(column, p_grid)
-    d = np.column_stack(cols)
-
-    bad = np.argwhere(~np.isfinite(d))
-    if len(bad) > 0:
-        i, j = bad[0]
-        raise EstimationError(
-            f"non-finite distance at grid point C={c_grid[i]}, p={p_grid[j]}"
-        )
-
-    flat = int(np.argmin(d))
-    i0, j0 = np.unravel_index(flat, d.shape)
-    d_min = float(d[i0, j0])
-    tie_count = int(np.sum(d == d_min))
-
-    minima = []
-    for i in range(d.shape[0]):
-        for j in range(d.shape[1]):
-            neigh = d[max(0, i - 1): i + 2, max(0, j - 1): j + 2]
-            if d[i, j] < np.min(neigh[neigh != d[i, j]], initial=np.inf):
-                if np.sum(neigh == d[i, j]) == 1:
-                    minima.append((float(c_grid[i]), float(p_grid[j]), float(d[i, j])))
-    minima.sort(key=lambda t: t[2])
-
-    return KSSurface(
-        c_grid, p_grid, d,
-        argmin=(float(c_grid[i0]), float(p_grid[j0]), d_min),
-        local_minima=minima,
-        tie_count=tie_count,
-    )
+    d = np.column_stack([
+        _ks_sorted(np.sort(block_statistics(blocked, p)), _c_prime_coupled(c_grid, p))
+        for p in p_grid
+    ])
+    return KSSurface.from_values(c_grid, p_grid, d)
 
 
 @dataclass(frozen=True)
@@ -231,6 +229,8 @@ def estimate(blocked: BlockedSeries, config: GridConfig | None = None) -> Estima
         raise EstimationError(
             f"need at least {config.m_min} blocks for a usable empirical CDF, got {blocked.m}"
         )
+    if not np.any(blocked.increments):
+        raise EstimationError("every block p-variation is zero (constant series)")
     surf = ks_surface(blocked, config.c_grid(), config.p_grid())
     c_star, p_star, d_min = surf.argmin
 
@@ -246,7 +246,7 @@ def estimate(blocked: BlockedSeries, config: GridConfig | None = None) -> Estima
             if c <= 0.0 or p <= 0.0:
                 return 1.0
             stats = np.sort(block_statistics(blocked, p))
-            return _ks_sorted(stats, _c_prime_coupled(c, p))
+            return float(_ks_sorted(stats, _c_prime_coupled(c, p)))
 
         res = optimize.minimize(
             objective, x0=[c_star, p_star], method="Nelder-Mead",

@@ -56,19 +56,18 @@ def limit_scale(params: StableParams, p: float) -> LimitScale:
     return LimitScale(c**p * ratio ** (p / a), a / p)
 
 
-def ref_cdf_half_stable(c_prime: float, x) -> float | np.ndarray:
+def ref_cdf_half_stable(c_prime, x) -> float | np.ndarray:
     """CDF of the half-stable subordinator S_{1/2}(c', 1, 0), i.e. the Levy
-    distribution with scale c': F(x) = erfc(sqrt(c' / (2x))) for x > 0."""
-    if not c_prime > 0.0:
+    distribution with scale c': F(x) = erfc(sqrt(c' / (2x))) for x > 0.
+    c_prime may be an array that broadcasts against x; scalar c_prime and x
+    give a float."""
+    c = np.asarray(c_prime, dtype=float)
+    if not np.all(c > 0.0):
         raise ValueError("c_prime must be positive")
-    scalar = np.isscalar(x)
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.zeros_like(xv)
-    pos = xv > 0.0
-    out[pos] = erfc(np.sqrt(c_prime / (2.0 * xv[pos])))
-    if scalar:
-        return float(out[0])
-    return out
+    xv = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(xv > 0.0, erfc(np.sqrt(c / (2.0 * xv))), 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def sample_limit(scale: LimitScale, stream: RandomStream, size=None):

@@ -1,5 +1,6 @@
-"""Uniform-grid sample paths: stable Levy paths, additive perturbations, and
-Euler schemes for X_t = x + int_0^t f(s, X_s) ds + L_t."""
+"""Uniform-grid sample paths of X_t = x + int_0^t f(s, X_s) ds + L_t: one
+generator of stable Levy grid increments (levy_increments), one vectorized
+Euler kernel (euler), and the paths and perturbations built on them."""
 
 from __future__ import annotations
 
@@ -70,20 +71,54 @@ class DriftSpec:
         return self.func(s, x)
 
 
-def simulate_levy(params: StableParams, n: int, T: float, stream: RandomStream) -> PathSample:
-    """Stable Levy path on the grid {k/n}: cumulative sums of i.i.d. increments
-    distributed as n^{-1/alpha} scalings of S_alpha(C, beta, 0) (exact in law
-    by self-similarity; at alpha = 1 the deterministic log-drift correction
+def levy_increments(
+    params: StableParams, n: int, streams: list[RandomStream], T: float = 1.0
+) -> np.ndarray:
+    """Grid increments of independent stable Levy paths on {k/n}, k <= n*T:
+    an (len(streams), floor(n*T)) array whose row i holds stream i's i.i.d.
+    n^{-1/alpha} scalings of S_alpha(C, beta, 0) draws (exact in law by
+    self-similarity; at alpha = 1 the deterministic log-drift correction
     keeps the grid law exact for beta != 0)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if T <= 0:
         raise ValueError("T must be positive")
     k_max = int(math.floor(n * T))
-    xi = sample_stable(params, stream, size=k_max) * n ** (-1.0 / params.alpha)
+    scale = n ** (-1.0 / params.alpha)
+    out = np.empty((len(streams), k_max))
+    for row, stream in zip(out, streams):
+        np.multiply(sample_stable(params, stream, size=k_max), scale, out=row)
     if abs(params.alpha - 1.0) < 1e-12 and params.beta != 0.0:
-        xi = xi - (2.0 / math.pi) * params.beta * params.scale_C * math.log(n) / n
-    values = np.empty(k_max + 1)
+        out -= (2.0 / math.pi) * params.beta * params.scale_C * math.log(n) / n
+    return out
+
+
+def euler(x0: float, drift: DriftSpec, dL: np.ndarray, n_fine: int, n_obs: int) -> np.ndarray:
+    """Explicit Euler for X_t = x0 + int f(s, X_s) ds + L_t, one path per row
+    of the fine-grid increments dL (spacing 1/n_fine), vectorized across
+    rows. Returns the values on the observation grid of spacing 1/n_obs: an
+    (m, floor(n_obs*T)+1) array when dL holds the increments over [0, T]."""
+    if n_obs < 1:
+        raise ValueError("n_obs must be >= 1")
+    if n_fine % n_obs != 0:
+        raise ValueError(f"n_fine={n_fine} is not a multiple of n_obs={n_obs}")
+    m, k_max = dL.shape
+    h = 1.0 / n_fine
+    step = n_fine // n_obs
+    out = np.empty((m, k_max // step + 1))
+    x = np.full(m, float(x0))
+    out[:, 0] = x
+    for k in range(k_max):
+        x = x + drift(k * h, x) * h + dL[:, k]
+        if (k + 1) % step == 0:
+            out[:, (k + 1) // step] = x
+    return out
+
+
+def simulate_levy(params: StableParams, n: int, T: float, stream: RandomStream) -> PathSample:
+    """Stable Levy path on the grid {k/n}: cumulative sums of levy_increments."""
+    xi = levy_increments(params, n, [stream], T)[0]
+    values = np.empty(len(xi) + 1)
     values[0] = 0.0
     np.cumsum(xi, out=values[1:])
     return PathSample(n, T, values)
@@ -98,25 +133,13 @@ def simulate_sde(
     T: float,
     stream: RandomStream,
 ) -> PathSample:
-    """Explicit Euler for X_t = x0 + int f(s, X_s) ds + L_t on the fine grid,
-    restricted to the observation grid of spacing 1/n_obs.
+    """Euler path for one stream on the fine grid, observed on the grid of
+    spacing 1/n_obs.
 
     With drift 'zero' and x0 = 0 the output is bitwise identical to
     simulate_levy(params, n_fine, T, stream).restrict(n_obs)."""
-    if n_obs < 1:
-        raise ValueError("n_obs must be >= 1")
-    if n_fine % n_obs != 0:
-        raise ValueError(f"n_fine={n_fine} is not a multiple of n_obs={n_obs}")
-    levy = simulate_levy(params, n_fine, T, stream)
-    dL = levy.increments()
-    h = 1.0 / n_fine
-    values = np.empty(len(levy.values))
-    values[0] = x0
-    x = x0
-    for k in range(len(dL)):
-        x = x + float(drift(k * h, x)) * h + dL[k]
-        values[k + 1] = x
-    return PathSample(n_fine, T, values).restrict(n_obs)
+    dL = levy_increments(params, n_fine, [stream], T)
+    return PathSample(n_obs, T, euler(x0, drift, dL, n_fine, n_obs)[0])
 
 
 def simulate_sde_batch(
@@ -128,29 +151,10 @@ def simulate_sde_batch(
     T: float,
     streams: list[RandomStream],
 ) -> np.ndarray:
-    """Euler paths for many independent streams at once, vectorized across
-    paths (one time loop, ndarray state). Returns an (m, floor(n_obs*T)+1)
-    array of coarse-grid values; row i is stream i's path."""
-    if n_fine % n_obs != 0:
-        raise ValueError(f"n_fine={n_fine} is not a multiple of n_obs={n_obs}")
-    m = len(streams)
-    k_max = int(math.floor(n_fine * T))
-    scale = n_fine ** (-1.0 / params.alpha)
-    dL = np.empty((m, k_max))
-    for i, s in enumerate(streams):
-        dL[i] = sample_stable(params, s, size=k_max) * scale
-    if abs(params.alpha - 1.0) < 1e-12 and params.beta != 0.0:
-        dL -= (2.0 / math.pi) * params.beta * params.scale_C * math.log(n_fine) / n_fine
-    h = 1.0 / n_fine
-    step = n_fine // n_obs
-    out = np.empty((m, int(math.floor(n_obs * T)) + 1))
-    x = np.full(m, float(x0))
-    out[:, 0] = x
-    for k in range(k_max):
-        x = x + drift(k * h, x) * h + dL[:, k]
-        if (k + 1) % step == 0:
-            out[:, (k + 1) // step] = x
-    return out
+    """Euler paths for many independent streams at once. Returns an
+    (m, floor(n_obs*T)+1) array of coarse-grid values; row i is stream i's
+    path."""
+    return euler(x0, drift, levy_increments(params, n_fine, streams, T), n_fine, n_obs)
 
 
 def add_perturbation(base: PathSample, y) -> PathSample:

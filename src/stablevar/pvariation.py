@@ -12,12 +12,13 @@ from stablevar.stable_law import StableParams, abs_moment, sin_moment
 
 
 def abs_powers(increments: np.ndarray, p: float) -> np.ndarray:
-    """|x|^p elementwise as exp(p log|x|), with an exact-zero shortcut."""
+    """|x|^p elementwise as exp(p log|x|) for p > 0, in one buffer; a zero
+    increment gives exp(-inf) = 0 exactly."""
     x = np.abs(np.asarray(increments, dtype=float))
-    out = np.zeros_like(x)
-    nz = x > 0.0
-    out[nz] = np.exp(p * np.log(x[nz]))
-    return out
+    with np.errstate(divide="ignore"):
+        np.log(x, out=x)
+    x *= p
+    return np.exp(x, out=x)
 
 
 @dataclass(frozen=True)

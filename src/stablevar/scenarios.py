@@ -10,9 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from stablevar.limit_law import limit_scale, sample_limit
-from stablevar.path_sim import DriftSpec
+from stablevar.path_sim import DriftSpec, euler, levy_increments
 from stablevar.pvariation import abs_powers, compensator
-from stablevar.stable_law import RandomStream, StableParams, sample_stable
+from stablevar.stable_law import RandomStream, StableParams
 
 
 def two_sample_ks(a, b) -> float:
@@ -31,6 +31,17 @@ def ks_threshold(m: int, coeff: float = 1.52) -> float:
     return coeff * math.sqrt(2.0 / m)
 
 
+BLOCK_VALUES = 200 * 10_000
+"""Fine-grid increments held at once by the statistic functions (16 MB of
+float64): they draw max(1, BLOCK_VALUES // n_fine) streams per block."""
+
+
+def _blocks(m: int, n_fine: int):
+    rows = max(1, BLOCK_VALUES // n_fine)
+    for lo in range(0, m, rows):
+        yield lo, min(lo + rows, m)
+
+
 def levy_statistic_sample(
     params: StableParams,
     p: float,
@@ -44,18 +55,17 @@ def levy_statistic_sample(
     """m values of V_p^n(L)_1 (optionally compensated by n B_n(alpha, p)),
     one per independent stream; perturbation, if given, is a callable t -> Y_t
     added to each path before taking increments."""
-    scale = float(n) ** (-1.0 / params.alpha)
     dY = None
     if perturbation is not None:
         t = np.arange(n + 1) / n
         dY = np.diff(np.asarray([perturbation(tt) for tt in t], dtype=float))
     out = np.empty(m)
-    for i in range(m):
-        stream = RandomStream(seed, stream_offset + i)
-        dL = sample_stable(params, stream, size=n) * scale
+    for lo, hi in _blocks(m, n):
+        streams = [RandomStream(seed, stream_offset + i) for i in range(lo, hi)]
+        dL = levy_increments(params, n, streams)
         if dY is not None:
-            dL = dL + dY
-        out[i] = np.sum(abs_powers(dL, p))
+            dL += dY
+        out[lo:hi] = np.sum(abs_powers(dL, p), axis=1)
     if compensate:
         out -= n * compensator(params, p, n)
     return out
@@ -70,37 +80,20 @@ def sde_statistic_pairs(
     seed: int,
     x0: float = 0.0,
     fine_multiplier: int = 1,
-    chunk: int = 200,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-stream pairs (V_p^n(X)_1, V_p^n(L)_1) where X is the Euler solution
-    with the given drift and L the pure Levy path built from the same stream.
-
-    Paths are generated in chunks vectorized across streams to keep memory
-    bounded."""
+    with the given drift on the grid of spacing 1/(fine_multiplier n) and L
+    the pure Levy path built from the same increments, both observed on the
+    grid of spacing 1/n."""
     n_fine = fine_multiplier * n
-    scale = float(n_fine) ** (-1.0 / params.alpha)
-    h = 1.0 / n_fine
     v_sde = np.empty(m)
     v_levy = np.empty(m)
-    for lo in range(0, m, chunk):
-        hi = min(lo + chunk, m)
-        rows = hi - lo
-        dL = np.empty((rows, n_fine))
-        for r in range(rows):
-            dL[r] = sample_stable(params, RandomStream(seed, lo + r), size=n_fine) * scale
-        # Euler on the fine grid, kept only at the observation resolution
-        x = np.full(rows, x0)
-        prev_x = x.copy()
-        inc_sde = np.empty((rows, n))
-        for k in range(n_fine):
-            x = x + drift(k * h, x) * h + dL[:, k]
-            if (k + 1) % fine_multiplier == 0:
-                j = (k + 1) // fine_multiplier - 1
-                inc_sde[:, j] = x - prev_x
-                prev_x = x.copy()
+    for lo, hi in _blocks(m, n_fine):
+        dL = levy_increments(params, n_fine, [RandomStream(seed, i) for i in range(lo, hi)])
+        inc_sde = np.diff(euler(x0, drift, dL, n_fine, n), axis=1)
         v_sde[lo:hi] = np.sum(abs_powers(inc_sde, p), axis=1)
-        # pure Levy increments on the observation grid from the same draws
-        inc_levy = dL.reshape(rows, n, fine_multiplier).sum(axis=2)
+        del inc_sde  # one block of temporaries at a time bounds peak memory
+        inc_levy = dL.reshape(hi - lo, n, fine_multiplier).sum(axis=2)
         v_levy[lo:hi] = np.sum(abs_powers(inc_levy, p), axis=1)
     return v_sde, v_levy
 

@@ -70,9 +70,6 @@ class RandomStream:
         key = np.array([self.seed % 2**64, self.stream_index], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
-    def substream(self, index: int) -> "RandomStream":
-        return RandomStream(self.seed, index)
-
 
 def _cms_standard(alpha: float, beta: float, rng: np.random.Generator, size) -> np.ndarray:
     """Chambers-Mallows-Stuck draws from S_alpha(1, beta, 0), alpha != 1 branch

@@ -5,7 +5,6 @@ verdicts; the asserts make pytest enforce them either way.
 """
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -179,23 +178,6 @@ class TestAcceptance:
             abs(r2.p_star - r1.p_star) < 1e-9
             and abs(r2.c_star - lam * r1.c_star) < 1e-6 * r1.c_star
             and abs(r2.d_min - r1.d_min) < 1e-9
-        )
-
-        # determinism under thread-count variation
-        old = os.environ.get("STABLEVAR_THREADS")
-        try:
-            os.environ["STABLEVAR_THREADS"] = "1"
-            t1 = estimate(blocked, cfg)
-            os.environ["STABLEVAR_THREADS"] = "4"
-            t4 = estimate(blocked, cfg)
-        finally:
-            if old is None:
-                os.environ.pop("STABLEVAR_THREADS", None)
-            else:
-                os.environ["STABLEVAR_THREADS"] = old
-        checks.append(
-            np.array_equal(t1.surface.d_values, t4.surface.d_values)
-            and (t1.c_star, t1.p_star, t1.d_min) == (t4.c_star, t4.p_star, t4.d_min)
         )
 
         ok = all(checks)

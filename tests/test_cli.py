@@ -35,6 +35,14 @@ class TestSeriesIO:
         np.testing.assert_array_equal(back, [1.0, 2.0])
         assert header == {}
 
+    @pytest.mark.parametrize("text", ["inf", "-inf", "nan"])
+    def test_non_finite_value_rejected(self, tmp_path, text):
+        path = tmp_path / "s.csv"
+        path.write_text(f"1.0\n2.0\n{text}\n")
+        with pytest.raises(CSVParseError) as exc:
+            read_series(str(path))
+        assert exc.value.line_no == 3
+
     def test_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("1.0\nnot-a-number\n")
@@ -139,6 +147,20 @@ class TestEstimate:
             "estimate", "--input", inp, "--output", str(tmp_path / "e"),
             "--p-min", "2.0", "--p-max", "1.0",
         ]) == 4
+
+    def test_non_finite_value_exits_3(self, tmp_path, capsys):
+        inp = tmp_path / "nan.csv"
+        inp.write_text("".join(f"{v}\n" for v in [0.5] * 40 + ["nan"] + [1.5] * 4000))
+        assert run(["estimate", "--input", str(inp), "--output", str(tmp_path / "e"),
+                    "--n", "100"]) == 3
+        assert "line 41" in capsys.readouterr().err
+
+    def test_constant_series_exits_4(self, tmp_path, capsys):
+        inp = tmp_path / "const.csv"
+        inp.write_text("2.5\n" * 4000)
+        assert run(["estimate", "--input", str(inp), "--output", str(tmp_path / "e"),
+                    "--n", "100"]) == 4
+        assert "zero" in capsys.readouterr().err
 
     def test_too_few_blocks_exits_4(self, tmp_path):
         inp = self.simulate_input(tmp_path, m=5)

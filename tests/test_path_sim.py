@@ -4,12 +4,22 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp, kstest, norm
 
-from stablevar.path_sim import DriftSpec, PathSample, add_perturbation, simulate_levy, simulate_sde, simulate_sde_batch
+from stablevar.path_sim import (
+    DriftSpec,
+    PathSample,
+    add_perturbation,
+    levy_increments,
+    simulate_levy,
+    simulate_sde,
+    simulate_sde_batch,
+)
 from stablevar.pvariation import terminal_pvariation
+from stablevar.scenarios import levy_statistic_sample, sde_statistic_pairs
 from stablevar.stable_law import RandomStream, StableParams
 
 P075 = StableParams(0.75, 6.35)
 P2 = StableParams(2.0, 1.0)
+P1_SKEWED = StableParams(1.0, 1.0, 0.8)
 
 
 class TestSimulateLevy:
@@ -50,6 +60,35 @@ class TestSimulateLevy:
         slope, intercept = np.polyfit(horizons, med, 1)
         fit = slope * horizons + intercept
         assert np.max(np.abs(med - fit)) / med[-1] < 0.15
+
+
+class TestLevyIncrements:
+    def test_rows_are_streams(self):
+        streams = [RandomStream(17, i) for i in range(3)]
+        inc = levy_increments(P075, 40, streams, T=1.5)
+        assert inc.shape == (3, 60)
+        np.testing.assert_array_equal(inc[1], levy_increments(P075, 40, streams[1:2], T=1.5)[0])
+
+    def test_alpha_one_skewed_statistic_matches_path(self):
+        # the statistic sample applies the same alpha = 1 log-drift correction
+        # as simulate_levy
+        n, p = 100, 1.5
+        stat = levy_statistic_sample(P1_SKEWED, p, n, 1, seed=4)
+        path = simulate_levy(P1_SKEWED, n, 1.0, RandomStream(4, 0))
+        np.testing.assert_allclose(stat[0], terminal_pvariation(path.increments(), p), rtol=1e-12)
+
+    def test_alpha_one_skewed_sde_pairs_levy_side_matches_path(self):
+        n, p, mult, m = 50, 1.5, 4, 3
+        _, v_levy = sde_statistic_pairs(
+            P1_SKEWED, DriftSpec("zero"), p, n, m, seed=6, fine_multiplier=mult
+        )
+        expected = [
+            terminal_pvariation(
+                simulate_levy(P1_SKEWED, n * mult, 1.0, RandomStream(6, i)).restrict(n).increments(), p
+            )
+            for i in range(m)
+        ]
+        np.testing.assert_allclose(v_levy, expected, rtol=1e-12)
 
 
 class TestSimulateSde:
@@ -108,7 +147,7 @@ class TestAddPerturbation:
     def test_lipschitz_perturbation_same_limit_law(self):
         # V_p statistics of L and L + sin(t) agree in law (m=500 blocks)
         params, p, n, m = StableParams(1.5, 1.0), 1.2, 1000, 500
-        from stablevar.scenarios import levy_statistic_sample, two_sample_ks, ks_threshold
+        from stablevar.scenarios import two_sample_ks, ks_threshold
 
         base = levy_statistic_sample(params, p, n, m, seed=14, compensate=True)
         pert = levy_statistic_sample(
