@@ -14,15 +14,7 @@ import sys
 
 import numpy as np
 
-from stablevar.estimator import (
-    EstimationError,
-    GridConfig,
-    block_split,
-    estimate,
-    ks_distance,
-    block_statistics,
-)
-from stablevar.estimator import _c_prime_coupled
+from stablevar.estimator import EstimationError, GridConfig, block_split, estimate, ks_surface
 from stablevar.path_sim import DriftSpec, simulate_sde_batch
 from stablevar.stable_law import RandomStream, StableParams
 from stablevar.scenarios import SCENARIOS, run_scenario
@@ -121,17 +113,8 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _grid_config(args) -> GridConfig:
-    cfg = GridConfig(
-        p_min=args.p_min, p_max=args.p_max, p_step=args.p_step,
-        c_min=args.c_min, c_max=args.c_max, c_step=args.c_step,
-        refine=not args.no_refine,
-    )
-    if not (0 < cfg.p_min < cfg.p_max and 0 < cfg.c_min < cfg.c_max):
-        raise EstimationError("infeasible grid bounds")
-    if cfg.p_step <= 0 or cfg.c_step <= 0:
-        raise EstimationError("grid steps must be positive")
-    return cfg
+GRID_WINDOW = ("p_min", "p_max", "p_step", "c_min", "c_max", "c_step")
+"""The GridConfig fields set by the --p-min ... --c-step options."""
 
 
 def cmd_estimate(args) -> int:
@@ -151,9 +134,14 @@ def cmd_estimate(args) -> int:
         return EXIT_GRID
 
     try:
-        cfg = _grid_config(args)
+        cfg = GridConfig(
+            **{name: getattr(args, name) for name in GRID_WINDOW}, refine=not args.no_refine
+        )
         blocked = block_split(series, int(n), mode=mode, demean=args.demean)
         result = estimate(blocked, cfg)
+        fixed = None
+        if args.fixed_c is not None:
+            fixed = ks_surface(blocked, [args.fixed_c], result.surface.p_grid)
     except (EstimationError, ValueError) as exc:
         print(f"estimation aborted: {exc}", file=sys.stderr)
         return EXIT_GRID
@@ -163,8 +151,8 @@ def cmd_estimate(args) -> int:
         _write_surface(base + ".surface.csv", result)
         _write_slice(base + ".slice.csv", result)
         _write_result(base + ".result.txt", result, blocked)
-        if args.fixed_c is not None:
-            _write_fixed_c(base + ".fixedc.csv", blocked, result, args.fixed_c)
+        if fixed is not None:
+            _write_fixed_c(base + ".fixedc.csv", fixed)
         if args.gnuplot:
             _write_gnuplot(base + ".gp", base)
     except OSError as exc:
@@ -214,12 +202,10 @@ def _write_result(path, result, blocked):
         fh.write("\n".join(lines) + "\n")
 
 
-def _write_fixed_c(path, blocked, result, c_fixed):
-    surf = result.surface
+def _write_fixed_c(path, fixed):
     with open(path, "w") as fh:
         fh.write("p,alpha,D\n")
-        for p in surf.p_grid:
-            d = ks_distance(block_statistics(blocked, p), _c_prime_coupled(c_fixed, p))
+        for p, d in zip(fixed.p_grid, fixed.d_values[0]):
             fh.write(f"{float(p)!r},{float(p) / 2.0!r},{float(d)!r}\n")
 
 
@@ -279,15 +265,12 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--n", type=int, default=0, help="points per block (or from header)")
     est.add_argument("--mode", choices=["levels", "increments"], default=None)
     est.add_argument("--demean", action="store_true", help="remove per-block mean increment")
-    est.add_argument("--p-min", type=float, default=0.8)
-    est.add_argument("--p-max", type=float, default=3.6)
-    est.add_argument("--p-step", type=float, default=0.05)
-    est.add_argument("--c-min", type=float, default=0.5)
-    est.add_argument("--c-max", type=float, default=20.0)
-    est.add_argument("--c-step", type=float, default=0.25)
+    for name in GRID_WINDOW:
+        est.add_argument("--" + name.replace("_", "-"), type=float,
+                         default=getattr(GridConfig, name))
     est.add_argument("--no-refine", action="store_true")
     est.add_argument("--fixed-c", type=float, default=None,
-                     help="also emit the D(p) slice at this fixed C")
+                     help="also emit the D(p) slice at this fixed C > 0")
     est.add_argument("--gnuplot", action="store_true")
     est.set_defaults(func=cmd_estimate)
 

@@ -11,7 +11,7 @@ import numpy as np
 from scipy import optimize
 
 from stablevar.limit_law import limit_scale, ref_cdf_half_stable
-from stablevar.pvariation import abs_powers
+from stablevar.pvariation import terminal_pvariation
 from stablevar.stable_law import StableParams
 
 
@@ -63,9 +63,7 @@ def block_split(series, n: int, mode: str = "levels", demean: bool = False) -> B
 
 def block_statistics(blocked: BlockedSeries, p: float) -> np.ndarray:
     """Terminal p-variation of each block: V_p^n(X^(i))_1, uncompensated."""
-    if p <= 0.0:
-        raise ValueError(f"p must be positive, got {p}")
-    return np.sum(abs_powers(blocked.increments, p), axis=1)
+    return terminal_pvariation(blocked.increments, p)
 
 
 class EmpiricalCDF:
@@ -115,6 +113,13 @@ def _c_prime_coupled(c, p: float):
     return float(c_prime) if c_prime.ndim == 0 else c_prime
 
 
+def _coupled_distance(blocked: BlockedSeries, c, p: float):
+    """D_n(C, p): the KS distance of the block p-variations to the half-stable
+    law of scale C' = C^p k(p), for each C in c at once (a scalar c gives a 0-d
+    result)."""
+    return _ks_sorted(np.sort(block_statistics(blocked, p)), _c_prime_coupled(c, p))
+
+
 def _strict_local_minima(d: np.ndarray) -> np.ndarray:
     """Mask of the cells strictly below all of their (up to 8) grid neighbors."""
     rows, cols = d.shape
@@ -138,6 +143,7 @@ class KSSurface:
     argmin: tuple  # (C*, p*, D_min)
     local_minima: list = field(default_factory=list)
     tie_count: int = 1
+    boundary: bool = False  # the argmin lies on the edge of the grid
 
     @classmethod
     def from_values(cls, c_grid, p_grid, d) -> "KSSurface":
@@ -161,13 +167,7 @@ class KSSurface:
             argmin=(float(c_grid[i0]), float(p_grid[j0]), d_min),
             local_minima=minima,
             tie_count=int(np.sum(d == d_min)),
-        )
-
-    def on_boundary(self) -> bool:
-        i = int(np.argmin(np.abs(self.c_grid - self.argmin[0])))
-        j = int(np.argmin(np.abs(self.p_grid - self.argmin[1])))
-        return (
-            i in (0, len(self.c_grid) - 1) or j in (0, len(self.p_grid) - 1)
+            boundary=bool(i0 in (0, d.shape[0] - 1) or j0 in (0, d.shape[1] - 1)),
         )
 
 
@@ -177,13 +177,13 @@ def ks_surface(blocked: BlockedSeries, c_grid, p_grid) -> KSSurface:
     p_grid = np.asarray(p_grid, dtype=float)
     if len(c_grid) == 0 or len(p_grid) == 0:
         raise ValueError("grids must be non-empty")
-    if np.any(c_grid <= 0.0) or np.any(p_grid <= 0.0):
-        raise ValueError("grids must be positive")
-    d = np.column_stack([
-        _ks_sorted(np.sort(block_statistics(blocked, p)), _c_prime_coupled(c_grid, p))
-        for p in p_grid
-    ])
+    d = np.column_stack([_coupled_distance(blocked, c_grid, p) for p in p_grid])
     return KSSurface.from_values(c_grid, p_grid, d)
+
+
+M_MIN = 20
+"""Fewest blocks estimate accepts: below this the empirical CDF is too coarse
+for the KS distance to locate a minimum."""
 
 
 @dataclass(frozen=True)
@@ -198,7 +198,12 @@ class GridConfig:
     c_max: float = 20.0
     c_step: float = 0.25
     refine: bool = True
-    m_min: int = 20
+
+    def __post_init__(self):
+        if not (0 < self.p_min < self.p_max and 0 < self.c_min < self.c_max):
+            raise ValueError("infeasible grid bounds")
+        if not (self.p_step > 0 and self.c_step > 0):
+            raise ValueError("grid steps must be positive")
 
     def p_grid(self) -> np.ndarray:
         return np.arange(self.p_min, self.p_max + self.p_step / 2.0, self.p_step)
@@ -225,10 +230,12 @@ def estimate(blocked: BlockedSeries, config: GridConfig | None = None) -> Estima
     and the per-p best-C slice."""
     if config is None:
         config = GridConfig()
-    if blocked.m < config.m_min:
+    if blocked.m < M_MIN:
         raise EstimationError(
-            f"need at least {config.m_min} blocks for a usable empirical CDF, got {blocked.m}"
+            f"need at least {M_MIN} blocks for a usable empirical CDF, got {blocked.m}"
         )
+    if not np.all(np.isfinite(blocked.increments)):
+        raise EstimationError("the series holds a NaN or infinite increment")
     if not np.any(blocked.increments):
         raise EstimationError("every block p-variation is zero (constant series)")
     surf = ks_surface(blocked, config.c_grid(), config.p_grid())
@@ -245,8 +252,7 @@ def estimate(blocked: BlockedSeries, config: GridConfig | None = None) -> Estima
             c, p = theta
             if c <= 0.0 or p <= 0.0:
                 return 1.0
-            stats = np.sort(block_statistics(blocked, p))
-            return float(_ks_sorted(stats, _c_prime_coupled(c, p)))
+            return float(_coupled_distance(blocked, c, p))
 
         res = optimize.minimize(
             objective, x0=[c_star, p_star], method="Nelder-Mead",
@@ -267,6 +273,6 @@ def estimate(blocked: BlockedSeries, config: GridConfig | None = None) -> Estima
         d_min=d_min,
         surface=surf,
         slice_best_c=slice_best_c,
-        boundary=surf.on_boundary(),
+        boundary=surf.boundary,
         tie_count=surf.tie_count,
     )

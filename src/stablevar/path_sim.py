@@ -10,7 +10,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from stablevar.stable_law import RandomStream, StableParams, sample_stable
+from stablevar.stable_law import ALPHA_ONE_TOL, RandomStream, StableParams, sample_stable
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ def levy_increments(
     out = np.empty((len(streams), k_max))
     for row, stream in zip(out, streams):
         np.multiply(sample_stable(params, stream, size=k_max), scale, out=row)
-    if abs(params.alpha - 1.0) < 1e-12 and params.beta != 0.0:
+    if abs(params.alpha - 1.0) < ALPHA_ONE_TOL and params.beta != 0.0:
         out -= (2.0 / math.pi) * params.beta * params.scale_C * math.log(n) / n
     return out
 

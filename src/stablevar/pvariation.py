@@ -24,18 +24,11 @@ def abs_powers(increments: np.ndarray, p: float) -> np.ndarray:
 @dataclass(frozen=True)
 class VariationSeries:
     """The step process V_p^n(X)_{k/n}: non-decreasing partial sums of
-    |increment|^p, plus the per-step compensator B_n(alpha, p) when set."""
+    |increment|^p."""
 
     n: int
     p: float
     raw: np.ndarray
-    compensator_per_step: float = 0.0
-
-    def terminal(self) -> float:
-        return float(self.raw[-1])
-
-    def compensated(self) -> np.ndarray:
-        return self.raw - self.compensator_per_step * np.arange(len(self.raw))
 
 
 def pvariation(path: PathSample, p: float) -> VariationSeries:
@@ -51,11 +44,13 @@ def pvariation(path: PathSample, p: float) -> VariationSeries:
     return VariationSeries(path.n, p, raw)
 
 
-def terminal_pvariation(increments: np.ndarray, p: float) -> float:
-    """Terminal value sum |increment_i|^p with pairwise summation."""
+def terminal_pvariation(increments: np.ndarray, p: float) -> float | np.ndarray:
+    """Terminal value sum |increment_i|^p over the last axis, with pairwise
+    summation: a float for one path, one value per row for an (m, n) batch."""
     if p <= 0.0:
         raise ValueError(f"p must be positive, got {p}")
-    return float(np.sum(abs_powers(increments, p)))
+    total = np.sum(abs_powers(increments, p), axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 def compensator(params: StableParams, p: float, n: int) -> float:

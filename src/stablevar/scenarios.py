@@ -11,7 +11,7 @@ import numpy as np
 
 from stablevar.limit_law import limit_scale, sample_limit
 from stablevar.path_sim import DriftSpec, euler, levy_increments
-from stablevar.pvariation import abs_powers, compensator
+from stablevar.pvariation import compensator, terminal_pvariation
 from stablevar.stable_law import RandomStream, StableParams
 
 
@@ -65,7 +65,7 @@ def levy_statistic_sample(
         dL = levy_increments(params, n, streams)
         if dY is not None:
             dL += dY
-        out[lo:hi] = np.sum(abs_powers(dL, p), axis=1)
+        out[lo:hi] = terminal_pvariation(dL, p)
     if compensate:
         out -= n * compensator(params, p, n)
     return out
@@ -91,10 +91,10 @@ def sde_statistic_pairs(
     for lo, hi in _blocks(m, n_fine):
         dL = levy_increments(params, n_fine, [RandomStream(seed, i) for i in range(lo, hi)])
         inc_sde = np.diff(euler(x0, drift, dL, n_fine, n), axis=1)
-        v_sde[lo:hi] = np.sum(abs_powers(inc_sde, p), axis=1)
+        v_sde[lo:hi] = terminal_pvariation(inc_sde, p)
         del inc_sde  # one block of temporaries at a time bounds peak memory
         inc_levy = dL.reshape(hi - lo, n, fine_multiplier).sum(axis=2)
-        v_levy[lo:hi] = np.sum(abs_powers(inc_levy, p), axis=1)
+        v_levy[lo:hi] = terminal_pvariation(inc_levy, p)
     return v_sde, v_levy
 
 

@@ -148,6 +148,20 @@ class TestEstimate:
             "--p-min", "2.0", "--p-max", "1.0",
         ]) == 4
 
+    @pytest.mark.parametrize("c_fixed", ["0", "-1"])
+    def test_non_positive_fixed_c_exits_4(self, tmp_path, capsys, c_fixed):
+        inp = self.simulate_input(tmp_path, m=40)
+        base = str(tmp_path / "e")
+        assert run([
+            "estimate", "--input", inp, "--output", base, "--no-refine",
+            "--p-min", "1.2", "--p-max", "1.6", "--p-step", "0.2",
+            "--c-min", "4.0", "--c-max", "9.0", "--c-step", "1.0",
+            "--fixed-c", c_fixed,
+        ]) == 4
+        assert "positive" in capsys.readouterr().err
+        for suffix in (".surface.csv", ".slice.csv", ".result.txt", ".fixedc.csv"):
+            assert not os.path.exists(base + suffix)
+
     def test_non_finite_value_exits_3(self, tmp_path, capsys):
         inp = tmp_path / "nan.csv"
         inp.write_text("".join(f"{v}\n" for v in [0.5] * 40 + ["nan"] + [1.5] * 4000))

@@ -194,6 +194,23 @@ surfaces = st.tuples(st.integers(1, 7), st.integers(1, 7)).flatmap(
 )
 
 
+class TestGridConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"p_step": 0}, {"c_step": -1}, {"p_step": float("nan")},
+        {"p_min": 2, "p_max": 1}, {"c_min": 0}, {"c_min": 5.0, "c_max": 5.0},
+    ])
+    def test_rejects_bad_window(self, kwargs):
+        with pytest.raises(ValueError):
+            GridConfig(**kwargs)
+
+
+def nearest_value_on_boundary(surf):
+    """Reference boundary flag: the grid indices of the argmin's values."""
+    i = int(np.argmin(np.abs(surf.c_grid - surf.argmin[0])))
+    j = int(np.argmin(np.abs(surf.p_grid - surf.argmin[1])))
+    return i in (0, len(surf.c_grid) - 1) or j in (0, len(surf.p_grid) - 1)
+
+
 class TestLocalMinima:
     @settings(max_examples=300, deadline=None)
     @given(surfaces)
@@ -203,6 +220,7 @@ class TestLocalMinima:
         surf = KSSurface.from_values(c_grid, p_grid, d)
         assert surf.local_minima == loop_local_minima(c_grid, p_grid, d)
         assert surf.tie_count == int(np.sum(d == d.min()))
+        assert surf.boundary == nearest_value_on_boundary(surf)
 
     def test_plateau_is_not_a_minimum(self):
         d = np.array([[1.0, 1.0, 2.0], [2.0, 2.0, 0.0]])
@@ -220,6 +238,12 @@ class TestEstimate:
     def test_constant_series_rejected(self):
         blocked = BlockedSeries(30, 50, np.zeros((30, 50)))
         with pytest.raises(EstimationError, match="zero"):
+            estimate(blocked)
+
+    def test_non_finite_increment_rejected(self):
+        blocked = self.make_blocked(StableParams(1.0, 1.0), seed=11, m=40)
+        blocked.increments[17, 123] = np.nan
+        with pytest.raises(EstimationError, match="NaN or infinite"):
             estimate(blocked)
 
     def test_m_min_guard(self):
@@ -256,6 +280,6 @@ class TestEstimate:
         rng = np.random.default_rng(10)
         blocked = block_split(rng.normal(size=80 * 200), 200, mode="increments")
         cfg = GridConfig(p_min=0.8, p_max=1.6, p_step=0.1, c_min=0.5, c_max=5.0,
-                         c_step=0.25, refine=False, m_min=20)
+                         c_step=0.25, refine=False)
         res = estimate(blocked, cfg)
         assert res.boundary

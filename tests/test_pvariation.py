@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import gamma as gamma_fn
 from scipy.stats import ks_2samp
 
@@ -81,6 +84,29 @@ class TestPVariation:
             for i in range(m)
         ])
         assert ks_2samp(va, vb).pvalue > 0.01
+
+
+# finite increments with exact zeros common; 1-row and 1-column batches included
+batches = st.tuples(st.integers(1, 6), st.integers(1, 40)).flatmap(
+    lambda shape: arrays(
+        np.float64, shape,
+        elements=st.one_of(st.just(0.0), st.floats(-1e6, 1e6, allow_subnormal=False)),
+    )
+)
+
+
+class TestTerminalPVariationBatch:
+    @settings(max_examples=200, deadline=None)
+    @given(batches, st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.3]))
+    def test_rows_match_single_calls_bitwise(self, inc, p):
+        batch = terminal_pvariation(inc, p)
+        assert batch.shape == (inc.shape[0],)
+        singles = np.array([terminal_pvariation(row, p) for row in inc])
+        np.testing.assert_array_equal(batch, singles)
+
+    def test_one_path_gives_float(self):
+        v = terminal_pvariation(np.array([1.0, -2.0, 0.0]), 2.0)
+        assert type(v) is float and v == 5.0
 
 
 class TestCompensator:
