@@ -4,7 +4,7 @@ from compensated p-variation statistics."""
 from stablevar.stable_law import RandomStream, StableParams, abs_moment, sample_stable, sin_moment
 from stablevar.path_sim import DriftSpec, PathSample, add_perturbation, simulate_levy, simulate_sde
 from stablevar.pvariation import VariationSeries, compensated_terminal, compensator, pvariation
-from stablevar.limit_law import LimitScale, limit_scale, ref_cdf_half_stable, sample_limit
+from stablevar.limit_law import limit_scale, ref_cdf_half_stable, sample_limit
 from stablevar.estimator import (
     BlockedSeries,
     EstimationResult,
@@ -32,7 +32,6 @@ __all__ = [
     "pvariation",
     "compensator",
     "compensated_terminal",
-    "LimitScale",
     "limit_scale",
     "ref_cdf_half_stable",
     "sample_limit",

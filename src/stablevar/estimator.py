@@ -108,7 +108,7 @@ def _c_prime_coupled(c, p: float):
     c = np.asarray(c, dtype=float)
     if not np.all(c > 0.0):
         raise ValueError("C must be positive")
-    k = limit_scale(StableParams(p / 2.0, 1.0, 0.0), p).c_prime
+    k = limit_scale(StableParams(p / 2.0, 1.0, 0.0), p).scale_C
     c_prime = np.array([ci ** float(p) for ci in c.ravel().tolist()]).reshape(c.shape) * k
     return float(c_prime) if c_prime.ndim == 0 else c_prime
 

@@ -1,29 +1,15 @@
-"""Limit objects of the p-variation convergence: the scale transfer
-C' = C'(C, alpha, p) and the half-stable subordinator reference law."""
+"""Limit objects of the p-variation convergence: the limiting stable law
+S_{alpha/p}(C', 1, 0) with its scale transfer C' = C'(C, alpha, p), and the
+half-stable subordinator reference law."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc, gamma as gamma_fn
 
 from stablevar.stable_law import RandomStream, StableParams, sample_stable
-
-
-@dataclass(frozen=True)
-class LimitScale:
-    """Scale and index of the limiting stable law S_{alpha/p}(C', 1, 0)."""
-
-    c_prime: float
-    alpha_over_p: float
-
-    def __post_init__(self):
-        if not self.c_prime > 0.0:
-            raise ValueError("c_prime must be positive")
-        if not 0.0 < self.alpha_over_p < 2.0:
-            raise ValueError("alpha_over_p must be in (0, 2)")
 
 
 def _cos_gamma(z: float) -> float:
@@ -37,8 +23,9 @@ def _cos_gamma(z: float) -> float:
     return math.pi / (2.0 * math.sin(math.pi * z / 2.0) * gamma_fn(z))
 
 
-def limit_scale(params: StableParams, p: float) -> LimitScale:
-    """Scale of the limiting law:
+def limit_scale(params: StableParams, p: float) -> StableParams:
+    """The limiting law S_{alpha/p}(C', 1, 0) of the (compensated) terminal
+    p-variation, whose scale is
 
         C' = C^p ( cos(pi alpha / 2p) Gamma(1 - alpha/p)
                    / (cos(pi alpha / 2) Gamma(1 - alpha)) )^{p/alpha},
@@ -49,11 +36,11 @@ def limit_scale(params: StableParams, p: float) -> LimitScale:
     if p <= a / 2.0:
         raise ValueError(f"limit_scale requires p > alpha/2, got p={p}, alpha={a}")
     if p == a:
-        return LimitScale(c, 1.0)
+        return StableParams(1.0, c, 1.0)
     if a >= 2.0:
         raise ValueError("limit_scale is undefined at the Gaussian boundary alpha=2")
     ratio = _cos_gamma(a / p) / _cos_gamma(a)
-    return LimitScale(c**p * ratio ** (p / a), a / p)
+    return StableParams(a / p, c**p * ratio ** (p / a), 1.0)
 
 
 def ref_cdf_half_stable(c_prime, x) -> float | np.ndarray:
@@ -70,7 +57,7 @@ def ref_cdf_half_stable(c_prime, x) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def sample_limit(scale: LimitScale, stream: RandomStream, size=None):
-    """Draws from the limiting law S_{alpha/p}(C', 1, 0)."""
-    params = StableParams(scale.alpha_over_p, scale.c_prime, 1.0)
-    return sample_stable(params, stream, size=size)
+def sample_limit(params: StableParams, p: float, stream: RandomStream, size=None):
+    """Draws from the limiting law limit_scale(params, p) of the terminal
+    p-variation of an S_alpha(C, beta, 0) Levy process."""
+    return sample_stable(limit_scale(params, p), stream, size=size)

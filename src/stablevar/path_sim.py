@@ -10,7 +10,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from stablevar.stable_law import ALPHA_ONE_TOL, RandomStream, StableParams, sample_stable
+from stablevar.stable_law import RandomStream, StableParams, sample_stable
 
 
 @dataclass(frozen=True)
@@ -76,20 +76,17 @@ def levy_increments(
 ) -> np.ndarray:
     """Grid increments of independent stable Levy paths on {k/n}, k <= n*T:
     an (len(streams), floor(n*T)) array whose row i holds stream i's i.i.d.
-    n^{-1/alpha} scalings of S_alpha(C, beta, 0) draws (exact in law by
-    self-similarity; at alpha = 1 the deterministic log-drift correction
-    keeps the grid law exact for beta != 0)."""
+    draws of S_alpha(C n^{-1/alpha}, beta, 0), the exact law of one grid
+    increment for every alpha and beta."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if T <= 0:
         raise ValueError("T must be positive")
     k_max = int(math.floor(n * T))
-    scale = n ** (-1.0 / params.alpha)
+    step = StableParams(params.alpha, params.scale_C * n ** (-1.0 / params.alpha), params.beta)
     out = np.empty((len(streams), k_max))
-    for row, stream in zip(out, streams):
-        np.multiply(sample_stable(params, stream, size=k_max), scale, out=row)
-    if abs(params.alpha - 1.0) < ALPHA_ONE_TOL and params.beta != 0.0:
-        out -= (2.0 / math.pi) * params.beta * params.scale_C * math.log(n) / n
+    for i, stream in enumerate(streams):
+        out[i] = sample_stable(step, stream, size=k_max)
     return out
 
 

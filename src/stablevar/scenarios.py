@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stablevar.limit_law import limit_scale, sample_limit
+from stablevar.limit_law import sample_limit
 from stablevar.path_sim import DriftSpec, euler, levy_increments
 from stablevar.pvariation import compensator, terminal_pvariation
 from stablevar.stable_law import RandomStream, StableParams
@@ -117,12 +117,12 @@ def run_scenario(name: str, seed: int = 1, m: int = 2000, n: int = 10000) -> Sce
         # p > alpha: no compensation, subordinator limit
         params, p = StableParams(1.5, 1.0, 0.0), 2.0
         stats = levy_statistic_sample(params, p, n, m, seed)
-        ref = sample_limit(limit_scale(params, p), RandomStream(seed, m), size=m)
+        ref = sample_limit(params, p, RandomStream(seed, m), size=m)
     elif name == "thm1-comp":
         # alpha/2 < p < alpha: compensated statistic
         params, p = StableParams(1.5, 1.0, 0.0), 1.0
         stats = levy_statistic_sample(params, p, n, m, seed, compensate=True)
-        ref = sample_limit(limit_scale(params, p), RandomStream(seed, m), size=m)
+        ref = sample_limit(params, p, RandomStream(seed, m), size=m)
     elif name == "thm3-lipschitz":
         # Lipschitz perturbation Y_t = sin(t) leaves the limit unchanged
         params, p = StableParams(1.5, 1.0, 0.0), 1.0

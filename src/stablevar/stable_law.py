@@ -69,17 +69,15 @@ class RandomStream:
 
 
 def _cms_standard(alpha: float, beta: float, rng: np.random.Generator, size) -> np.ndarray:
-    """Chambers-Mallows-Stuck draws from S_alpha(1, beta, 0), alpha != 1 branch
-    included; at alpha = 1 the returned draws follow the exponent
-    -|lam|(1 + i beta (2/pi) sgn(lam) log|lam|) (note the plus sign)."""
+    """Chambers-Mallows-Stuck draws from S_alpha(1, beta, 0) in this module's
+    parametrization, alpha = 1 included."""
     v = (rng.uniform(size=size) - 0.5) * math.pi
     w = rng.exponential(size=size)
     if abs(alpha - 1.0) < ALPHA_ONE_TOL:
-        bv = math.pi / 2.0 + beta * v
-        x = (2.0 / math.pi) * (
-            bv * np.tan(v) - beta * np.log((math.pi / 2.0) * w * np.cos(v) / bv)
+        bv = math.pi / 2.0 - beta * v
+        return (2.0 / math.pi) * (
+            bv * np.tan(v) + beta * np.log((math.pi / 2.0) * w * np.cos(v) / bv)
         )
-        return x
     zeta = beta * math.tan(math.pi * alpha / 2.0)
     b = math.atan(zeta) / alpha
     s = (1.0 + zeta * zeta) ** (1.0 / (2.0 * alpha))
@@ -104,11 +102,10 @@ def sample_stable(params: StableParams, stream: RandomStream, size=None):
     if a == 2.0:
         out = rng.normal(0.0, math.sqrt(2.0) * c, size=n)
     elif abs(a - 1.0) < ALPHA_ONE_TOL:
-        # the target exponent carries -i beta log|lam| where the CMS draw
-        # carries +i beta log|lam|, so flip the skew; rescaling by C then
-        # needs the deterministic (2/pi) beta C log C drift
-        x = _cms_standard(1.0, -beta, rng, n)
-        out = c * x - (2.0 / math.pi) * beta * c * math.log(c)
+        # at alpha = 1 scaling is not closed under the log term: C times an
+        # S_1(1, beta, 0) draw is S_1(C, beta, 0) shifted by (2/pi) beta C log C
+        # (Samorodnitsky & Taqqu 1994, Property 1.2.3)
+        out = c * _cms_standard(1.0, beta, rng, n) - (2.0 / math.pi) * beta * c * math.log(c)
     else:
         out = c * _cms_standard(a, beta, rng, n)
     if size is None:

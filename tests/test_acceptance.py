@@ -88,7 +88,7 @@ class TestAcceptance:
         checks = []
 
         # scale transfer is the identity at alpha = p, exactly
-        checks.append(limit_scale(StableParams(1.3, 4.2), 1.3).c_prime == 4.2)
+        checks.append(limit_scale(StableParams(1.3, 4.2), 1.3).scale_C == 4.2)
 
         # reference CDF against direct density quadrature on a 100-point log grid
         c = 1.9

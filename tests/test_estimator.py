@@ -19,7 +19,7 @@ from stablevar.estimator import (
     ks_distance,
     ks_surface,
 )
-from stablevar.limit_law import limit_scale, ref_cdf_half_stable, sample_limit
+from stablevar.limit_law import limit_scale, ref_cdf_half_stable
 from stablevar.path_sim import simulate_levy
 from stablevar.stable_law import RandomStream, StableParams, sample_stable
 
@@ -78,7 +78,7 @@ class TestBlockStatistics:
             ]
         )
         stats = block_statistics(block_split(inc, n, mode="increments"), p)
-        cp = limit_scale(params, p).c_prime
+        cp = limit_scale(params, p).scale_C
         res = kstest(stats, lambda v: ref_cdf_half_stable(cp, v))
         assert res.pvalue > 0.01
 
@@ -125,9 +125,7 @@ class TestKsDistance:
     def test_true_law_small_distance(self):
         m = 10_000
         cp = 3.0
-        from stablevar.limit_law import LimitScale
-
-        draws = sample_limit(LimitScale(cp, 0.5), RandomStream(3), size=m)
+        draws = sample_stable(StableParams(0.5, cp, 1.0), RandomStream(3), size=m)
         assert ks_distance(draws, cp) < 1.95 / math.sqrt(m)
 
     def test_matches_brute_force_sup(self):

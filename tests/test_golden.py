@@ -34,15 +34,15 @@ RECORDED_ON = {"numpy": "2.4.6", "machine": "x86_64"}
 
 GOLDEN = {
     "simulate.csv":
-        "219df4c5774f22246eafee44a9d18349009b23314b4fd44cab17461de57dc8bd",
+        "c5a84ef94da02933f4dea427ae499b9b7a95e587bb3ee8716257a5ab83c26220",
     "estimate.surface.csv":
-        "03b7fd1d87a7e1a0e6446bbc2383e951a207316bfcddd051145c4b0bf7c1ed7e",
+        "204fa552db9aece77498077b84e7682610c4b999d15b80ca08a16850db870750",
     "estimate.slice.csv":
-        "56bfc0db10b2d6bbce1337606d600c094be2f62012bf0b15d845125fdc223e8d",
+        "376b7f18acd87d77f2ce46d7bbf0cffbab944e8fc843ba8c07d13218f8635dfb",
     "estimate.result.txt":
-        "ec6a3aff66946b520c44e46e13855957a43d20cfcc91a05c796701b5c66e4bcb",
+        "14f90dbbf6b688b67b36448db3e44cb10833fda2daf5f7ec92094d2850c3e554",
     "estimate.fixedc.csv":
-        "9fe3c56dde422b1e42cc5b7018c5ff427e6e1dd213c932cb569dcdf6884c863d",
+        "c241a1503a6220d2a97f76a6029dead1de9a48df0f8b5d223e84a5172ceb4156",
     "levy.thm1-sub":
         "e8da3540d551d7d9cb79f9a1d419f09126521d043c12cd42b6e157012d70a358",
     "levy.thm1-sub.two-blocks":
@@ -54,23 +54,23 @@ GOLDEN = {
     "levy.thm3-lipschitz.offset":
         "9c37313ba5fd678eadddd0b6ca24ed8f9ba4fc69242a409684a6d7375fc63d2a",
     "sde.cor-sde.sde":
-        "06be4e2a91e2f4739987760dec2848a06d2903e1263e72e4aed41b8d2d546833",
+        "20796d9cc7dd9d8b87c926f8d8b12220e0df14085568673f08c3845448476b82",
     "sde.cor-sde.levy":
-        "bf30088f9b5e618df958c9afa2182797bb473c2de95282861d65413e4174f0c4",
+        "24a71462c92879cc16c1c388457e69d33a336e1f99d7576e74b660f7cd31d2d5",
     "sde.cor-sde.fine4.sde":
-        "5175b04e9f303be597e31172f146f751c55a82c93a3c5beba6c9bc107ba4c609",
+        "29f177a8868b522066bdfa888021c311f78eb6b93437f575766545b966610f3c",
     "sde.cor-sde.fine4.levy":
-        "4681dffad81124f4e84e247fce5a8d6fc6436697fc2b64f6fe97c78a06be20e3",
+        "a7ce9f51078146faf5aa1c27416f3172ab139c49d42d641b5f7c6400ffe6b236",
     "sde.cor-sde.two-blocks.sde":
-        "23310e461391ffb0dc81ef4ed8d37cb6a8fcae915d07adced05be814958b54ad",
+        "e790af76777a296b890508f6ba97b637d44a6a44d02f74a2914b3d33200a7e21",
     "sde.cor-sde.two-blocks.levy":
-        "df2f583d014885a64e9217256614d86520c8cf0d80ef8a0d8d761dbb2782f747",
+        "ecfd6f710828353dd0d95915adcc72e0c16541f3d168d25c8b158361bcd125c0",
     "simulate_levy.a075":
-        "7b479b714a545314374d9c36ffa621a24dcd511c3c560099ad62e39b1979cd45",
+        "8d93f544e3640e4ffb147c3c14264f5ac20267f49d402b0ce0a8c42f43ecc109",
     "simulate_levy.a15.T2":
         "82cf3e92dd1e764ea88adb129ca9e4a30536b9079c475a693a9841217f1b7509",
     "simulate_levy.a1.skewed":
-        "7164453ca074a312bd7648cfd5b6a08939e19d23e6db8b83914ec6fbba84d4fd",
+        "bc34de5917fb64172a112bdf037b7bbb8bfa596677a9e81b272dbbd33e6a9c0d",
 }
 
 

@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate
 from scipy.stats import kstest
 
-from stablevar.limit_law import LimitScale, limit_scale, ref_cdf_half_stable, sample_limit
+from stablevar.limit_law import limit_scale, ref_cdf_half_stable, sample_limit
 from stablevar.stable_law import RandomStream, StableParams
 
 
@@ -21,37 +21,37 @@ def c_prime_highprec(alpha, c, p):
 
 class TestLimitScale:
     def test_equal_alpha_p_returns_c(self):
-        assert limit_scale(StableParams(1.3, 2.0), 1.3).c_prime == 2.0
+        assert limit_scale(StableParams(1.3, 2.0), 1.3).scale_C == 2.0
 
     def test_reference_value(self):
         ls = limit_scale(StableParams(0.75, 6.35), 1.5)
-        assert ls.alpha_over_p == pytest.approx(0.5)
-        assert ls.c_prime == pytest.approx(c_prime_highprec(0.75, 6.35, 1.5), rel=1e-10)
+        assert (ls.alpha, ls.beta) == (0.5, 1.0)
+        assert ls.scale_C == pytest.approx(c_prime_highprec(0.75, 6.35, 1.5), rel=1e-10)
 
     @pytest.mark.parametrize("alpha,p", [(0.6, 0.9), (1.2, 2.5), (1.7, 1.0), (1.9, 3.0)])
     def test_matches_high_precision(self, alpha, p):
         ls = limit_scale(StableParams(alpha, 1.7), p)
-        assert ls.c_prime == pytest.approx(c_prime_highprec(alpha, 1.7, p), rel=1e-10)
+        assert ls.scale_C == pytest.approx(c_prime_highprec(alpha, 1.7, p), rel=1e-10)
 
     def test_continuity_across_alpha_one(self):
         p = 1.4
-        lo = limit_scale(StableParams(1.0 - 1e-9, 2.0), p).c_prime
-        mid = limit_scale(StableParams(1.0, 2.0), p).c_prime
-        hi = limit_scale(StableParams(1.0 + 1e-9, 2.0), p).c_prime
+        lo = limit_scale(StableParams(1.0 - 1e-9, 2.0), p).scale_C
+        mid = limit_scale(StableParams(1.0, 2.0), p).scale_C
+        hi = limit_scale(StableParams(1.0 + 1e-9, 2.0), p).scale_C
         assert abs(lo - hi) / mid < 1e-6
         assert abs(mid - lo) / mid < 1e-6
 
     def test_continuity_scan_near_gaussian(self):
         # finite positive values all the way up the alpha in [1.95, 2) scan
-        vals = [limit_scale(StableParams(a, 1.0), 1.2).c_prime for a in np.arange(1.95, 2.0, 1e-3)]
+        vals = [limit_scale(StableParams(a, 1.0), 1.2).scale_C for a in np.arange(1.95, 2.0, 1e-3)]
         assert all(np.isfinite(vals)) and all(v > 0 for v in vals)
         assert np.all(np.diff(vals) < 0)  # shrinks toward the Gaussian boundary
 
     def test_sided_limits_at_alpha_equals_p(self):
         # the alpha != p branch is continuous through alpha/p = 1
         p = 1.3
-        lo = limit_scale(StableParams(p - 1e-9, 2.0), p).c_prime
-        hi = limit_scale(StableParams(p + 1e-9, 2.0), p).c_prime
+        lo = limit_scale(StableParams(p - 1e-9, 2.0), p).scale_C
+        hi = limit_scale(StableParams(p + 1e-9, 2.0), p).scale_C
         assert abs(lo - hi) / lo < 1e-6
 
     def test_rejects_small_p(self):
@@ -103,18 +103,17 @@ class TestRefCdf:
 
 class TestSampleLimit:
     def test_subordinator_positivity(self):
-        scale = LimitScale(2.0, 0.7)
-        draws = sample_limit(scale, RandomStream(1), size=100_000)
+        draws = sample_limit(StableParams(0.7, 2.0), 1.0, RandomStream(1), size=100_000)
         assert np.all(draws > 0.0)
 
     def test_half_stable_matches_ref_cdf(self):
-        scale = limit_scale(StableParams(0.75, 6.35), 1.5)
-        draws = sample_limit(scale, RandomStream(2), size=100_000)
-        res = kstest(draws, lambda v: ref_cdf_half_stable(scale.c_prime, v))
+        params, p = StableParams(0.75, 6.35), 1.5
+        draws = sample_limit(params, p, RandomStream(2), size=100_000)
+        res = kstest(draws, lambda v: ref_cdf_half_stable(limit_scale(params, p).scale_C, v))
         assert res.pvalue > 0.01
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            LimitScale(-1.0, 0.5)
+            sample_limit(StableParams(1.5, 1.0), 0.75, RandomStream(0))
         with pytest.raises(ValueError):
-            LimitScale(1.0, 2.5)
+            sample_limit(StableParams(2.0, 1.0), 1.2, RandomStream(0))
