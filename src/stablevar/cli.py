@@ -162,10 +162,10 @@ def cmd_estimate(args) -> int:
     print(f"alpha* = {result.alpha_star:.6g}")
     print(f"C*     = {result.c_star:.6g}")
     print(f"D_min  = {result.d_min:.6g}")
-    if result.boundary:
+    if result.surface.boundary:
         print("warning: minimum on the search-grid boundary")
-    if result.tie_count > 1:
-        print(f"warning: {result.tie_count} grid cells tie at the minimum")
+    if result.surface.tie_count > 1:
+        print(f"warning: {result.surface.tie_count} grid cells tie at the minimum")
     return EXIT_OK
 
 
@@ -193,8 +193,8 @@ def _write_result(path, result, blocked):
         f"d_min {result.d_min!r}",
         f"m {blocked.m}",
         f"n {blocked.n}",
-        f"boundary {result.boundary}",
-        f"tie_count {result.tie_count}",
+        f"boundary {result.surface.boundary}",
+        f"tie_count {result.surface.tie_count}",
     ]
     for k, (c, p, d) in enumerate(result.surface.local_minima[:8]):
         lines.append(f"local_min_{k} C={c!r} p={p!r} D={d!r}")

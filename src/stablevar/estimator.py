@@ -204,6 +204,13 @@ class GridConfig:
             raise ValueError("infeasible grid bounds")
         if not (self.p_step > 0 and self.c_step > 0):
             raise ValueError("grid steps must be positive")
+        # np.arange may overshoot p_max by up to half a step, so check the grid
+        top = self.p_grid()[-1]
+        if top >= 4.0:
+            raise ValueError(
+                f"p window [{self.p_min}, {self.p_max}] step {self.p_step} reaches "
+                f"p = {top!r}; the coupling alpha = p/2 needs p < 4"
+            )
 
     def p_grid(self) -> np.ndarray:
         return np.arange(self.p_min, self.p_max + self.p_step / 2.0, self.p_step)
@@ -220,8 +227,6 @@ class EstimationResult:
     d_min: float
     surface: KSSurface
     slice_best_c: np.ndarray  # rows (p, best C, D at best C)
-    boundary: bool = False
-    tie_count: int = 1
 
 
 def estimate(blocked: BlockedSeries, config: GridConfig | None = None) -> EstimationResult:
@@ -249,8 +254,10 @@ def estimate(blocked: BlockedSeries, config: GridConfig | None = None) -> Estima
 
     if config.refine:
         def objective(theta):
+            # outside the window every point scores the largest distance, so
+            # no vertex there can beat d_min, and alpha = p/2 stays below 2
             c, p = theta
-            if c <= 0.0 or p <= 0.0:
+            if not (config.c_min <= c <= config.c_max and config.p_min <= p <= config.p_max):
                 return 1.0
             return float(_coupled_distance(blocked, c, p))
 
@@ -258,13 +265,8 @@ def estimate(blocked: BlockedSeries, config: GridConfig | None = None) -> Estima
             objective, x0=[c_star, p_star], method="Nelder-Mead",
             options={"xatol": 1e-4, "fatol": 1e-6, "maxiter": 400},
         )
-        c_ref, p_ref = res.x
-        in_window = (
-            config.c_min <= c_ref <= config.c_max
-            and config.p_min <= p_ref <= config.p_max
-        )
-        if res.fun < d_min and in_window:
-            c_star, p_star, d_min = float(c_ref), float(p_ref), float(res.fun)
+        if res.fun < d_min:
+            c_star, p_star, d_min = float(res.x[0]), float(res.x[1]), float(res.fun)
 
     return EstimationResult(
         alpha_star=p_star / 2.0,
@@ -273,6 +275,4 @@ def estimate(blocked: BlockedSeries, config: GridConfig | None = None) -> Estima
         d_min=d_min,
         surface=surf,
         slice_best_c=slice_best_c,
-        boundary=surf.boundary,
-        tie_count=surf.tie_count,
     )

@@ -5,7 +5,7 @@ Euler kernel (euler), and the paths and perturbations built on them."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -83,7 +83,7 @@ def levy_increments(
     if T <= 0:
         raise ValueError("T must be positive")
     k_max = int(math.floor(n * T))
-    step = StableParams(params.alpha, params.scale_C * n ** (-1.0 / params.alpha), params.beta)
+    step = replace(params, scale_C=params.scale_C * n ** (-1.0 / params.alpha))
     out = np.empty((len(streams), k_max))
     for i, stream in enumerate(streams):
         out[i] = sample_stable(step, stream, size=k_max)

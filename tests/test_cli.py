@@ -148,6 +148,13 @@ class TestEstimate:
             "--p-min", "2.0", "--p-max", "1.0",
         ]) == 4
 
+    def test_p_window_reaching_four_exits_4(self, tmp_path, capsys):
+        inp = self.simulate_input(tmp_path, m=40)
+        assert run([
+            "estimate", "--input", inp, "--output", str(tmp_path / "e"), "--p-max", "4.0",
+        ]) == 4
+        assert "p window" in capsys.readouterr().err
+
     @pytest.mark.parametrize("c_fixed", ["0", "-1"])
     def test_non_positive_fixed_c_exits_4(self, tmp_path, capsys, c_fixed):
         inp = self.simulate_input(tmp_path, m=40)

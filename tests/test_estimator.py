@@ -201,6 +201,15 @@ class TestGridConfig:
         with pytest.raises(ValueError):
             GridConfig(**kwargs)
 
+    @pytest.mark.parametrize("p_max", [4.0, 3.98])
+    def test_rejects_p_grid_reaching_four(self, p_max):
+        # alpha = p/2 reaches 2; np.arange overshoots 3.98 to 4.000000000000003
+        with pytest.raises(ValueError, match="p window"):
+            GridConfig(p_max=p_max)
+
+    def test_p_grid_below_four_builds(self):
+        assert GridConfig(p_max=3.95).p_grid()[-1] < 4.0
+
 
 def nearest_value_on_boundary(surf):
     """Reference boundary flag: the grid indices of the argmin's values."""
@@ -256,7 +265,7 @@ class TestEstimate:
         assert 0.6 < res.alpha_star < 0.9
         assert 5.0 < res.c_star < 8.0
         assert res.d_min < 0.15
-        assert not res.boundary
+        assert not res.surface.boundary
 
     def test_scale_equivariance(self):
         lam = 2.0
@@ -273,6 +282,17 @@ class TestEstimate:
         assert b.c_star == pytest.approx(lam * a.c_star, rel=1e-6)
         assert b.d_min == pytest.approx(a.d_min, abs=1e-9)
 
+    def test_refine_stays_in_window(self):
+        # Gaussian data pull Nelder-Mead past the top of the p window, where
+        # alpha = p/2 would exceed 2; vertices outside the window score 1.0
+        blocked = block_split(np.random.default_rng(0).normal(size=200 * 200), 200,
+                              mode="increments")
+        cfg = GridConfig(p_max=3.9)
+        res = estimate(blocked, cfg)
+        assert cfg.p_min <= res.p_star <= cfg.p_max
+        assert cfg.c_min <= res.c_star <= cfg.c_max
+        assert res.d_min <= res.surface.argmin[2]
+
     def test_boundary_flag_on_gaussian_input(self):
         # Gaussian data pushes p* to the top of a deliberately short p window
         rng = np.random.default_rng(10)
@@ -280,4 +300,4 @@ class TestEstimate:
         cfg = GridConfig(p_min=0.8, p_max=1.6, p_step=0.1, c_min=0.5, c_max=5.0,
                          c_step=0.25, refine=False)
         res = estimate(blocked, cfg)
-        assert res.boundary
+        assert res.surface.boundary

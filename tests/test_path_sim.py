@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp, kstest, norm
+from scipy.stats import ks_2samp, kstest, levy_stable, norm
 
 from stablevar.path_sim import (
     DriftSpec,
@@ -69,15 +69,26 @@ class TestLevyIncrements:
         assert inc.shape == (3, 60)
         np.testing.assert_array_equal(inc[1], levy_increments(P075, 40, streams[1:2], T=1.5)[0])
 
+    def test_alpha_one_skewed_grid_sums_have_law_of_l1(self, monkeypatch):
+        # the n grid increments of [0, 1] sum to L_1 ~ S_1(2, 0.7, 0). Reference:
+        # scipy's S1 law with beta negated (its alpha = 1 log term has the
+        # opposite sign). Level 0.01 on a fixed seed: 1% false-failure chance.
+        monkeypatch.setattr(levy_stable, "parameterization", "S1")
+        streams = [RandomStream(19, i) for i in range(2000)]
+        sums = levy_increments(StableParams(1.0, 2.0, 0.7), 500, streams).sum(axis=1)
+        assert kstest(sums, lambda v: levy_stable.cdf(v, 1.0, -0.7, scale=2.0)).pvalue > 0.01
+
     def test_alpha_one_skewed_statistic_matches_path(self):
-        # the statistic sample applies the same alpha = 1 log-drift correction
-        # as simulate_levy
+        # at alpha = 1, beta != 0 the statistic sample and simulate_levy take
+        # the same grid increments from levy_increments
         n, p = 100, 1.5
         stat = levy_statistic_sample(P1_SKEWED, p, n, 1, seed=4)
         path = simulate_levy(P1_SKEWED, n, 1.0, RandomStream(4, 0))
         np.testing.assert_allclose(stat[0], terminal_pvariation(path.increments(), p), rtol=1e-12)
 
     def test_alpha_one_skewed_sde_pairs_levy_side_matches_path(self):
+        # the Levy side of the pairs row-sums the fine increments, so it matches
+        # simulate_levy on the fine grid restricted to the coarse one
         n, p, mult, m = 50, 1.5, 4, 3
         _, v_levy = sde_statistic_pairs(
             P1_SKEWED, DriftSpec("zero"), p, n, m, seed=6, fine_multiplier=mult
