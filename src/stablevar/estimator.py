@@ -253,11 +253,14 @@ def estimate(blocked: BlockedSeries, config: GridConfig | None = None) -> Estima
     )
 
     if config.refine:
+        (c_lo, c_hi), (p_lo, p_hi) = surf.c_grid[[0, -1]], surf.p_grid[[0, -1]]
+
         def objective(theta):
-            # outside the window every point scores the largest distance, so
-            # no vertex there can beat d_min, and alpha = p/2 stays below 2
+            # outside the built grids every point scores the largest distance,
+            # so no vertex there can beat d_min, and alpha = p/2 stays below 2;
+            # the grids' ends, not the window's, since np.arange may overshoot
             c, p = theta
-            if not (config.c_min <= c <= config.c_max and config.p_min <= p <= config.p_max):
+            if not (c_lo <= c <= c_hi and p_lo <= p <= p_hi):
                 return 1.0
             return float(_coupled_distance(blocked, c, p))
 

@@ -30,8 +30,10 @@ def limit_scale(params: StableParams, p: float) -> StableParams:
         C' = C^p ( cos(pi alpha / 2p) Gamma(1 - alpha/p)
                    / (cos(pi alpha / 2) Gamma(1 - alpha)) )^{p/alpha},
 
-    with C' = C at alpha = p. The removable singularities at alpha = 1 and
-    alpha/p = 1 are evaluated through the regularized composite."""
+    and C' = C on the exact test p == alpha, the switch pvariation.compensator
+    makes. Otherwise the removable singularities at alpha = 1 and alpha/p = 1
+    go through the regularized composite, so C' is continuous as alpha/p
+    crosses 1; its limit there is C at alpha = 1 but not in general."""
     a, c = params.alpha, params.scale_C
     if p <= a / 2.0:
         raise ValueError(f"limit_scale requires p > alpha/2, got p={p}, alpha={a}")

@@ -60,7 +60,11 @@ def compensator(params: StableParams, p: float, n: int) -> float:
         E sin(n^{-1} |L_1|^alpha)    for p = alpha,
         0                            for p > alpha.
 
-    Only defined for p > alpha/2."""
+    Only defined for p > alpha/2. The sin form is taken on the exact test
+    p == alpha, since E|L_1|^p holds Gamma(1 - p/alpha), which diverges as
+    p -> alpha from below. For p <= alpha, alpha = 1, beta != 0 raises
+    ValueError: one grid increment is then L_1/n shifted by (2/pi) beta C
+    log(n)/n, so this B_n would drift with log n (stable_law.abs_moment)."""
     a = params.alpha
     if p <= a / 2.0:
         raise ValueError(f"compensator requires p > alpha/2, got p={p}, alpha={a}")

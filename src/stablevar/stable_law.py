@@ -10,12 +10,13 @@ so alpha = 2 is Gaussian with variance 2 C^2.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.special import gamma as gamma_fn
+from scipy.special import loggamma
 
 
 ALPHA_ONE_TOL = 1e-12
@@ -113,93 +114,76 @@ def sample_stable(params: StableParams, stream: RandomStream, size=None):
     return out
 
 
-def _re_cf(params: StableParams, lam):
-    """Real part of the characteristic function at lam >= 0."""
+def _log_cos(w: complex) -> complex:
+    """log cos w from exponentials: cos is even, and for Im w >= 0
+    cos w = e^{-iw} (1 + e^{2iw}) / 2 with |e^{2iw}| <= 1, so nothing
+    overflows where cos w would. Callers exponentiate, so any branch will do."""
+    if w.imag < 0.0:
+        w = -w
+    return -1j * w + cmath.log(1.0 + cmath.exp(2j * w)) - math.log(2.0)
+
+
+def _log_abs_moment(params: StableParams, q: complex) -> complex:
+    """log E|L_1|^q for complex q with -1 < Re q < alpha (Samorodnitsky &
+    Taqqu 1994, Property 1.2.17) in the duplication form, regular at q = 1:
+
+        q log(2C) + log Gamma((1+q)/2) - (1/2) log pi
+        + log Gamma(1 - q/alpha) - log Gamma(1 - q/2)
+        + (q / 2 alpha) log(1 + zeta^2) + log cos((q/alpha) arctan zeta),
+
+    zeta = beta tan(pi alpha / 2). At alpha = 2 the last two lines vanish but
+    have poles at q = 2, 4, ...; the first line alone is N(0, 2C^2) for every
+    Re q > -1. At alpha = 1, beta != 0 zeta is infinite: ValueError."""
     a, c, beta = params.alpha, params.scale_C, params.beta
+    if abs(a - 1.0) < ALPHA_ONE_TOL and beta != 0.0:
+        raise ValueError(f"no closed-form moments at alpha = 1, beta != 0 (got beta={beta})")
+    log_m = q * math.log(2.0 * c) + loggamma((1.0 + q) / 2.0) - 0.5 * math.log(math.pi)
     if a == 2.0:
-        return np.exp(-((c * lam) ** 2))
-    u = (c * lam) ** a
-    if abs(a - 1.0) < ALPHA_ONE_TOL:
-        phase = c * lam * beta * (2.0 / math.pi) * np.log(np.maximum(lam, 1e-300))
-    else:
-        phase = u * beta * math.tan(math.pi * a / 2.0)
-    return np.exp(-u) * np.cos(phase)
-
-
-def tail_prob(params: StableParams, x: float) -> float:
-    """P(|L_1| > x) by characteristic-function inversion (Gil-Pelaez):
-
-        P(|X| > x) = 1 - (2/pi) int_0^inf sin(mu) Re phi(mu/x) dmu / mu,
-
-    after rescaling to unit oscillation frequency. The head [0, pi] is smooth;
-    the tail uses QUADPACK's accelerated sine-weighted rule."""
-    if x <= 0.0:
-        return 1.0
-
-    def head(mu):
-        return np.sin(mu) * _re_cf(params, mu / x) / mu
-
-    def envelope(mu):
-        return _re_cf(params, mu / x) / mu
-
-    v1, _ = integrate.quad(head, 0.0, math.pi, limit=200, epsabs=1e-12, epsrel=1e-11)
-    v2, _ = integrate.quad(
-        envelope, math.pi, np.inf, weight="sin", wvar=1.0, limit=800, epsabs=1e-12,
+        return log_m
+    zeta = beta * math.tan(math.pi * a / 2.0)
+    return (
+        log_m + loggamma(1.0 - q / a) - loggamma(1.0 - q / 2.0)
+        + q / (2.0 * a) * math.log1p(zeta * zeta) + _log_cos(q / a * math.atan(zeta))
     )
-    val = v1 + v2
-    return min(1.0, max(0.0, 1.0 - (2.0 / math.pi) * val))
 
 
 def abs_moment(params: StableParams, p: float) -> float:
-    """E|L_1|^p for 0 < p < alpha.
+    """E|L_1|^p for 0 < p < alpha (every p > 0 at alpha = 2), in closed form.
 
-    Symmetric laws use the closed form
-    C^p 2^p Gamma((1+p)/2) Gamma(1-p/alpha) / (Gamma(1-p/2) sqrt(pi));
-    skewed laws integrate p x^{p-1} P(|L_1|>x) with the inverted tail.
-    """
-    a, c, beta = params.alpha, params.scale_C, params.beta
+    Raises ValueError at alpha = 1, beta != 0: no closed form exists there,
+    and a compensator built on it would be wrong anyway, since one grid
+    increment S_1(C/n, beta, 0) is L_1/n shifted by (2/pi) beta C log(n)/n."""
     if p <= 0.0:
         raise ValueError(f"p must be positive, got {p}")
-    if p >= a and a < 2.0:
-        raise ValueError(f"moment of order {p} is infinite for alpha={a}")
-    if a == 2.0:
-        # N(0, 2C^2): E|X|^p = sigma^p 2^{p/2} Gamma((p+1)/2) / sqrt(pi)
-        sigma = math.sqrt(2.0) * c
-        return sigma**p * 2 ** (p / 2.0) * gamma_fn((p + 1.0) / 2.0) / math.sqrt(math.pi)
-    if beta == 0.0:
-        return (
-            c**p
-            * 2**p
-            * gamma_fn((1.0 + p) / 2.0)
-            * gamma_fn(1.0 - p / a)
-            / (gamma_fn(1.0 - p / 2.0) * math.sqrt(math.pi))
-        )
-
-    def integrand(x):
-        return x ** (p - 1.0) * tail_prob(params, x)
-
-    # the tail decays like x^{p-1-alpha}; split at the scale to help quadpack
-    val1, _ = integrate.quad(integrand, 0.0, c, limit=200, epsrel=1e-6)
-    val2, _ = integrate.quad(integrand, c, np.inf, limit=200, epsrel=1e-6)
-    return p * (val1 + val2)
+    if p >= params.alpha and params.alpha < 2.0:
+        raise ValueError(f"moment of order {p} is infinite for alpha={params.alpha}")
+    return math.exp(_log_abs_moment(params, p).real)
 
 
 def sin_moment(params: StableParams, n: int) -> float:
-    """E sin(|L_1|^alpha / n) to absolute accuracy 1e-6.
+    """E sin(|L_1|^alpha / n) as one Mellin-Barnes integral (Zolotarev 1986,
+    ch. 2): sin has Mellin transform Gamma(s) sin(pi s / 2) on -1 < Re s < 1, so
 
-    Integration by parts against the survival function of U = |L_1|^alpha
-    gives int_0^inf cos(u) P(|L_1| > (nu)^{1/alpha}) du, a damped oscillatory
-    integral handled by QUADPACK's cosine-weighted rule."""
+        E sin(|L_1|^alpha / n)
+            = (1/pi) int_0^inf Re[Gamma(s) sin(pi s/2) n^s E|L_1|^{-alpha s}] dt
+
+    on s = -1/2 + it, inside the moment's strip for every alpha, where n^s
+    shrinks the integrand towards the size of the result. QUADPACK is asked
+    for 1e-10 absolute or 1e-9 relative accuracy. The integrand decays like
+    exp(-(pi/2 - |arctan zeta|) t), slowly as alpha -> 1 with beta != 0: within
+    about 0.002 of alpha = 1 the quadrature may stop with an
+    IntegrationWarning. Raises ValueError at alpha = 1, beta != 0, as
+    abs_moment does."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    a = params.alpha
+    a, log_n = params.alpha, math.log(n)
 
-    def survival(u):
-        if u <= 0.0:
-            return 1.0
-        return tail_prob(params, (n * u) ** (1.0 / a))
+    def integrand(t):
+        s = complex(-0.5, t)
+        return cmath.exp(
+            loggamma(s) + _log_cos(math.pi * (s - 1.0) / 2.0) + s * log_n
+            + _log_abs_moment(params, -a * s)
+        ).real
 
-    val, _ = integrate.quad(
-        survival, 0.0, np.inf, weight="cos", wvar=1.0, limit=1000, epsabs=1e-8,
-    )
-    return val
+    val, _ = integrate.quad(integrand, 0.0, np.inf, limit=10_000, epsabs=1e-10, epsrel=1e-9)
+    return val / math.pi

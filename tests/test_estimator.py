@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.stats import kstest
 
+from stablevar import estimator
 from stablevar.estimator import (
     BlockedSeries,
     EstimationError,
@@ -292,6 +293,26 @@ class TestEstimate:
         assert cfg.p_min <= res.p_star <= cfg.p_max
         assert cfg.c_min <= res.c_star <= cfg.c_max
         assert res.d_min <= res.surface.argmin[2]
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_refine_starts_at_surface_minimum(self, monkeypatch, seed):
+        # the default p grid ends at 3.6000000000000023, just above p_max; on
+        # Gaussian data the surface minimum lies in that top column, and the
+        # Nelder-Mead start vertex must score D_min there, not the 1.0 given
+        # to points outside the search grids
+        blocked = block_split(np.random.default_rng(seed).normal(size=200 * 200), 200,
+                              mode="increments")
+        minimize = estimator.optimize.minimize
+        starts = []
+
+        def spy(fun, x0, **kwargs):
+            starts.append(fun(x0))
+            return minimize(fun, x0, **kwargs)
+
+        monkeypatch.setattr(estimator.optimize, "minimize", spy)
+        res = estimate(blocked)
+        assert res.surface.argmin[1] == res.surface.p_grid[-1] > GridConfig().p_max
+        assert starts == [res.surface.argmin[2]]
 
     def test_boundary_flag_on_gaussian_input(self):
         # Gaussian data pushes p* to the top of a deliberately short p window

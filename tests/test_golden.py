@@ -48,11 +48,11 @@ GOLDEN = {
     "levy.thm1-sub.two-blocks":
         "4141683ec9e157b08c4cb2b41a4d6d443e3f1f3fb6f0465c471deb3ea415b422",
     "levy.thm1-comp":
-        "6d86dc25b2c3db542441a44a441112e0f7af8a4788aff0bb76d139b93d710ecd",
+        "024e4d3c3ca94ca55e7fc7304fb97c5af81eb153760350a072d1044b52908ac4",
     "levy.thm3-lipschitz":
-        "b4378db3616318a183346f0154f6c9aee43c87a9ae9068142bd9bde8c9f1132e",
+        "b48af3fe286f8ed76b751c45c24c6f196aced1c96402cf20845fe82355ef8067",
     "levy.thm3-lipschitz.offset":
-        "9c37313ba5fd678eadddd0b6ca24ed8f9ba4fc69242a409684a6d7375fc63d2a",
+        "1d19118f8aaac84b91f7595a65ee42d93029bf3be20ace8ed540f6ffaa63da8a",
     "sde.cor-sde.sde":
         "20796d9cc7dd9d8b87c926f8d8b12220e0df14085568673f08c3845448476b82",
     "sde.cor-sde.levy":

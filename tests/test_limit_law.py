@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.stats import kstest
 
@@ -53,6 +55,16 @@ class TestLimitScale:
         lo = limit_scale(StableParams(p - 1e-9, 2.0), p).scale_C
         hi = limit_scale(StableParams(p + 1e-9, 2.0), p).scale_C
         assert abs(lo - hi) / lo < 1e-6
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.2, 1.95), st.floats(0.1, 10.0))
+    def test_continuity_across_alpha_over_p_one(self, alpha, c):
+        # p = alpha (1 -+ 1e-9) puts alpha/p on either side of 1; both go
+        # through the regularized formula, not the p == alpha switch
+        params = StableParams(alpha, c)
+        lo = limit_scale(params, alpha * (1.0 - 1e-9)).scale_C
+        hi = limit_scale(params, alpha * (1.0 + 1e-9)).scale_C
+        assert hi == pytest.approx(lo, rel=1e-6)
 
     def test_rejects_small_p(self):
         with pytest.raises(ValueError):

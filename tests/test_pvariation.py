@@ -1,4 +1,6 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -129,6 +131,24 @@ class TestCompensator:
     def test_rejects_below_half_alpha(self):
         with pytest.raises(ValueError):
             compensator(StableParams(1.5, 1.0), 0.75, 100)
+
+    def test_rejects_alpha_one_skewed(self):
+        # one grid increment is L_1/n shifted by (2/pi) beta C log(n)/n, so
+        # n^{-p} E|L_1|^p is not its moment
+        with pytest.raises(ValueError, match="alpha = 1, beta != 0"):
+            compensator(StableParams(1.0, 2.0, 0.7), 0.8, 1000)
+
+    def test_benchmark_references(self):
+        # perfbench/refs.json holds B_n for the benchmark's compensate
+        # regimes, each with the accuracy it was computed to
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "refs.json")
+        with open(path) as fh:
+            refs = json.load(fh)["compensate"]
+        assert refs
+        for key, ref in refs.items():
+            v = {k: float(x) for k, x in (item.split("=") for item in key.split(","))}
+            b = compensator(StableParams(v["alpha"], v["scale"], v["beta"]), v["p"], int(v["n"]))
+            assert abs(b - ref["compensator"]) <= ref["tolerance"], key
 
 
 class TestCompensatedTerminal:

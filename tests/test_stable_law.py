@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gamma as gamma_fn
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import expi, gamma as gamma_fn
 from scipy.stats import kstest, ks_2samp, levy_stable, norm
 
 from stablevar.stable_law import (
@@ -11,8 +13,14 @@ from stablevar.stable_law import (
     abs_moment,
     sample_stable,
     sin_moment,
-    tail_prob,
 )
+
+
+# alpha != 1: at alpha = 1 only beta = 0 has closed-form moments
+ALPHAS = st.floats(0.1, 1.95).filter(lambda a: abs(a - 1.0) > 1e-6)
+# sin_moment costs up to ~1 s per call within 0.01 of alpha = 1 with
+# beta != 0 (test_skewed_near_alpha_one_vs_mc covers alpha = 0.99)
+SIN_ALPHAS = st.floats(0.3, 2.0).filter(lambda a: abs(a - 1.0) > 0.05)
 
 
 class TestParams:
@@ -134,6 +142,28 @@ class TestAbsMoment:
         with pytest.raises(ValueError):
             abs_moment(p, 0.0)
 
+    def test_rejects_alpha_one_skewed(self):
+        with pytest.raises(ValueError, match="alpha = 1, beta != 0"):
+            abs_moment(StableParams(1.0, 2.0, 0.7), 0.8)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ALPHAS, st.floats(-1.0, 1.0), st.floats(0.01, 0.99), st.floats(0.1, 10.0),
+           st.floats(0.1, 10.0))
+    def test_scale_equivariance(self, alpha, beta, frac, c, lam):
+        # E|lam L_1|^p = lam^p E|L_1|^p, and lam L_1 is S_alpha(lam C, beta, 0)
+        p = frac * alpha
+        base = abs_moment(StableParams(alpha, c, beta), p)
+        scaled = abs_moment(StableParams(alpha, lam * c, beta), p)
+        assert scaled == pytest.approx(lam**p * base, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ALPHAS, st.floats(0.0, 1.0), st.floats(0.01, 0.99))
+    def test_reflection_invariance(self, alpha, beta, frac):
+        # -L_1 is S_alpha(C, -beta, 0) and has the same |L_1|
+        p = frac * alpha
+        assert abs_moment(StableParams(alpha, 1.3, -beta), p) == pytest.approx(
+            abs_moment(StableParams(alpha, 1.3, beta), p), rel=1e-12)
+
 
 class TestSinMoment:
     def test_bounded(self):
@@ -155,13 +185,30 @@ class TestSinMoment:
         with pytest.raises(ValueError):
             sin_moment(StableParams(1.0, 1.0), 0)
 
+    def test_rejects_alpha_one_skewed(self):
+        with pytest.raises(ValueError, match="alpha = 1, beta != 0"):
+            sin_moment(StableParams(1.0, 2.0, 0.7), 100)
 
-class TestTailProb:
-    def test_cauchy_closed_form(self):
-        p = StableParams(1.0, 1.0)
-        for x in (0.5, 2.0, 100.0):
-            exact = 1.0 - (2.0 / math.pi) * math.atan(x)
-            assert abs(tail_prob(p, x) - exact) < 1e-9
+    @pytest.mark.parametrize("c,n", [(1.0, 100), (1.0, 1000), (2.0, 50)])
+    def test_cauchy_closed_form(self, c, n):
+        # |L_1| of S_1(C, 0, 0) has density (2/pi) C / (C^2 + x^2), so with
+        # x = C/n, E sin(|L_1|/n) = (e^{-x} Ei(x) - e^x Ei(-x)) / pi
+        x = c / n
+        exact = (math.exp(-x) * expi(x) - math.exp(x) * expi(-x)) / math.pi
+        assert abs(sin_moment(StableParams(1.0, c), n) - exact) < 1e-9
 
-    def test_nonpositive_x(self):
-        assert tail_prob(StableParams(1.5, 1.0), 0.0) == 1.0
+    def test_skewed_near_alpha_one_vs_mc(self):
+        # zeta = beta tan(pi alpha / 2) = 57: the integrand decays slowly here.
+        # 3 standard errors on a fixed seed: a 0.3% chance of a false failure
+        p = StableParams(0.99, 1.3, 0.9)
+        v = sin_moment(p, 1000)
+        x = np.sin(np.abs(sample_stable(p, RandomStream(15), size=1_000_000)) ** 0.99 / 1000.0)
+        se = x.std() / math.sqrt(len(x))
+        assert abs(v - x.mean()) < 3.0 * se
+
+    @settings(max_examples=30, deadline=None)
+    @given(SIN_ALPHAS, st.floats(0.0, 1.0), st.integers(1, 10**6))
+    def test_reflection_invariance(self, alpha, beta, n):
+        # -L_1 is S_alpha(C, -beta, 0) and has the same |L_1|
+        assert sin_moment(StableParams(alpha, 1.3, -beta), n) == pytest.approx(
+            sin_moment(StableParams(alpha, 1.3, beta), n), abs=1e-12)
