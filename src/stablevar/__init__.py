@@ -2,7 +2,7 @@
 from compensated p-variation statistics."""
 
 from stablevar.stable_law import RandomStream, StableParams, abs_moment, sample_stable, sin_moment
-from stablevar.path_sim import DriftSpec, PathSample, add_perturbation, simulate_levy, simulate_sde
+from stablevar.path_sim import DriftSpec, PathSample, simulate_levy
 from stablevar.pvariation import VariationSeries, compensated_terminal, compensator, pvariation
 from stablevar.limit_law import limit_scale, ref_cdf_half_stable, sample_limit
 from stablevar.estimator import (
@@ -10,8 +10,6 @@ from stablevar.estimator import (
     EstimationResult,
     KSSurface,
     block_split,
-    block_statistics,
-    empirical_cdf,
     estimate,
     ks_distance,
     ks_surface,
@@ -26,8 +24,6 @@ __all__ = [
     "PathSample",
     "DriftSpec",
     "simulate_levy",
-    "simulate_sde",
-    "add_perturbation",
     "VariationSeries",
     "pvariation",
     "compensator",
@@ -39,8 +35,6 @@ __all__ = [
     "KSSurface",
     "EstimationResult",
     "block_split",
-    "block_statistics",
-    "empirical_cdf",
     "ks_distance",
     "ks_surface",
     "estimate",

@@ -83,12 +83,8 @@ def read_series(path: str) -> tuple[np.ndarray, dict]:
     return np.asarray(values), config
 
 
-def _params_from_args(args) -> StableParams:
-    return StableParams(args.alpha, args.scale, args.beta)
-
-
 def cmd_simulate(args) -> int:
-    params = _params_from_args(args)
+    params = StableParams(args.alpha, args.scale, args.beta)
     drift = DriftSpec("cosine" if args.drift == "cos" else "zero")
     streams = [RandomStream(args.seed, i) for i in range(args.m)]
     paths = simulate_sde_batch(

@@ -61,31 +61,8 @@ def block_split(series, n: int, mode: str = "levels", demean: bool = False) -> B
     return BlockedSeries(m, n, blocks)
 
 
-def block_statistics(blocked: BlockedSeries, p: float) -> np.ndarray:
-    """Terminal p-variation of each block: V_p^n(X^(i))_1, uncompensated."""
-    return terminal_pvariation(blocked.increments, p)
-
-
-class EmpiricalCDF:
-    """Right-continuous step function G(x) = (1/m) #{values <= x}."""
-
-    def __init__(self, values):
-        values = np.asarray(values, dtype=float)
-        if len(values) < 1:
-            raise ValueError("need at least one value")
-        self.sorted = np.sort(values)
-        self.m = len(values)
-
-    def __call__(self, x):
-        return np.searchsorted(self.sorted, x, side="right") / self.m
-
-
-def empirical_cdf(values) -> EmpiricalCDF:
-    return EmpiricalCDF(values)
-
-
 def ks_distance(values, c_prime: float) -> float:
-    """sup_{x>=0} |G(x) - F_{1/2,c'}(x)| by the exact sorted-sample formula."""
+    """sup_{x>=0} |G(x) - F_{1/2,c'}(x)|, G the empirical CDF of values, by the exact formula."""
     xs = np.sort(np.asarray(values, dtype=float))
     return float(_ks_sorted(xs, c_prime))
 
@@ -114,10 +91,10 @@ def _c_prime_coupled(c, p: float):
 
 
 def _coupled_distance(blocked: BlockedSeries, c, p: float):
-    """D_n(C, p): the KS distance of the block p-variations to the half-stable
-    law of scale C' = C^p k(p), for each C in c at once (a scalar c gives a 0-d
-    result)."""
-    return _ks_sorted(np.sort(block_statistics(blocked, p)), _c_prime_coupled(c, p))
+    """D_n(C, p): the KS distance of the uncompensated block p-variations
+    V_p^n(X^(i))_1 to the half-stable law of scale C' = C^p k(p), for each C in
+    c at once (a scalar c gives a 0-d result)."""
+    return _ks_sorted(np.sort(terminal_pvariation(blocked.increments, p)), _c_prime_coupled(c, p))
 
 
 def _strict_local_minima(d: np.ndarray) -> np.ndarray:
@@ -186,10 +163,18 @@ M_MIN = 20
 for the KS distance to locate a minimum."""
 
 
+def _grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """The points lo, lo + step, ... of np.arange that lie in [lo, hi], where a
+    point within rounding (1e-9 steps) of hi is hi itself."""
+    g = np.arange(lo, hi + step / 2.0, step)
+    g[np.abs(g - hi) <= 1e-9 * step] = hi
+    return g[g <= hi]
+
+
 @dataclass(frozen=True)
 class GridConfig:
-    """Search grids and refinement settings. The default windows are a
-    documented choice, not canonical."""
+    """Search window and refinement settings; the grids lie inside the window.
+    The default window is a documented choice, not canonical."""
 
     p_min: float = 0.8
     p_max: float = 3.6
@@ -204,19 +189,15 @@ class GridConfig:
             raise ValueError("infeasible grid bounds")
         if not (self.p_step > 0 and self.c_step > 0):
             raise ValueError("grid steps must be positive")
-        # np.arange may overshoot p_max by up to half a step, so check the grid
-        top = self.p_grid()[-1]
-        if top >= 4.0:
-            raise ValueError(
-                f"p window [{self.p_min}, {self.p_max}] step {self.p_step} reaches "
-                f"p = {top!r}; the coupling alpha = p/2 needs p < 4"
-            )
+        if not self.p_max < 4.0:
+            raise ValueError(f"p window [{self.p_min}, {self.p_max}] reaches p = 4; "
+                             "the coupling alpha = p/2 needs p < 4")
 
     def p_grid(self) -> np.ndarray:
-        return np.arange(self.p_min, self.p_max + self.p_step / 2.0, self.p_step)
+        return _grid(self.p_min, self.p_max, self.p_step)
 
     def c_grid(self) -> np.ndarray:
-        return np.arange(self.c_min, self.c_max + self.c_step / 2.0, self.c_step)
+        return _grid(self.c_min, self.c_max, self.c_step)
 
 
 @dataclass(frozen=True)
@@ -253,14 +234,11 @@ def estimate(blocked: BlockedSeries, config: GridConfig | None = None) -> Estima
     )
 
     if config.refine:
-        (c_lo, c_hi), (p_lo, p_hi) = surf.c_grid[[0, -1]], surf.p_grid[[0, -1]]
-
         def objective(theta):
-            # outside the built grids every point scores the largest distance,
-            # so no vertex there can beat d_min, and alpha = p/2 stays below 2;
-            # the grids' ends, not the window's, since np.arange may overshoot
+            # outside the window every point scores the largest distance, so
+            # no vertex there can beat d_min, and alpha = p/2 stays below 2
             c, p = theta
-            if not (c_lo <= c <= c_hi and p_lo <= p <= p_hi):
+            if not (config.c_min <= c <= config.c_max and config.p_min <= p <= config.p_max):
                 return 1.0
             return float(_coupled_distance(blocked, c, p))
 

@@ -28,17 +28,15 @@ def limit_scale(params: StableParams, p: float) -> StableParams:
     p-variation, whose scale is
 
         C' = C^p ( cos(pi alpha / 2p) Gamma(1 - alpha/p)
-                   / (cos(pi alpha / 2) Gamma(1 - alpha)) )^{p/alpha},
+                   / (cos(pi alpha / 2) Gamma(1 - alpha)) )^{p/alpha}.
 
-    and C' = C on the exact test p == alpha, the switch pvariation.compensator
-    makes. Otherwise the removable singularities at alpha = 1 and alpha/p = 1
-    go through the regularized composite, so C' is continuous as alpha/p
-    crosses 1; its limit there is C at alpha = 1 but not in general."""
+    The removable singularities at alpha = 1 and alpha/p = 1 go through the
+    regularized composite, so C' is continuous as alpha/p crosses 1, and
+    p == alpha gives the value both one-sided limits approach. That value is
+    C only at alpha = 1: it is the scale the tail of |L_1|^alpha calls for."""
     a, c = params.alpha, params.scale_C
     if p <= a / 2.0:
         raise ValueError(f"limit_scale requires p > alpha/2, got p={p}, alpha={a}")
-    if p == a:
-        return StableParams(1.0, c, 1.0)
     if a >= 2.0:
         raise ValueError("limit_scale is undefined at the Gaussian boundary alpha=2")
     ratio = _cos_gamma(a / p) / _cos_gamma(a)

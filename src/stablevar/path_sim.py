@@ -1,12 +1,11 @@
 """Uniform-grid sample paths of X_t = x + int_0^t f(s, X_s) ds + L_t: one
 generator of stable Levy grid increments (levy_increments), one vectorized
-Euler kernel (euler), and the paths and perturbations built on them."""
+Euler kernel (euler), and the Levy and SDE paths built on them."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,43 +31,25 @@ class PathSample:
                 f"values has length {len(self.values)}, expected {expected}"
             )
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(len(self.values)) / self.n
-
     def increments(self) -> np.ndarray:
         return np.diff(self.values)
-
-    def restrict(self, n_coarse: int) -> "PathSample":
-        """Restriction to the coarser grid of spacing 1/n_coarse."""
-        if self.n % n_coarse != 0:
-            raise ValueError(f"n={self.n} is not a multiple of n_coarse={n_coarse}")
-        step = self.n // n_coarse
-        k_max = int(math.floor(n_coarse * self.horizon_T))
-        idx = np.arange(k_max + 1) * step
-        return PathSample(n_coarse, self.horizon_T, self.values[idx])
 
 
 @dataclass(frozen=True)
 class DriftSpec:
     """Drift f(s, x) of the SDE. kind 'zero' keeps the pure-Levy reduction
-    exact; 'cosine' is f(s, x) = cos(x); 'custom' wraps any callable."""
+    exact; 'cosine' is f(s, x) = cos(x)."""
 
     kind: str = "zero"
-    func: Optional[Callable[[float, np.ndarray], np.ndarray]] = field(default=None)
 
     def __post_init__(self):
-        if self.kind not in ("zero", "cosine", "custom"):
+        if self.kind not in ("zero", "cosine"):
             raise ValueError(f"unknown drift kind {self.kind!r}")
-        if self.kind == "custom" and self.func is None:
-            raise ValueError("custom drift requires a callable")
 
     def __call__(self, s: float, x):
         if self.kind == "zero":
             return np.zeros_like(np.asarray(x, dtype=float))
-        if self.kind == "cosine":
-            return np.cos(x)
-        return self.func(s, x)
+        return np.cos(x)
 
 
 def levy_increments(
@@ -121,24 +102,6 @@ def simulate_levy(params: StableParams, n: int, T: float, stream: RandomStream) 
     return PathSample(n, T, values)
 
 
-def simulate_sde(
-    x0: float,
-    drift: DriftSpec,
-    params: StableParams,
-    n_fine: int,
-    n_obs: int,
-    T: float,
-    stream: RandomStream,
-) -> PathSample:
-    """Euler path for one stream on the fine grid, observed on the grid of
-    spacing 1/n_obs.
-
-    With drift 'zero' and x0 = 0 the output is bitwise identical to
-    simulate_levy(params, n_fine, T, stream).restrict(n_obs)."""
-    dL = levy_increments(params, n_fine, [stream], T)
-    return PathSample(n_obs, T, euler(x0, drift, dL, n_fine, n_obs)[0])
-
-
 def simulate_sde_batch(
     x0: float,
     drift: DriftSpec,
@@ -152,15 +115,3 @@ def simulate_sde_batch(
     (m, floor(n_obs*T)+1) array of coarse-grid values; row i is stream i's
     path."""
     return euler(x0, drift, levy_increments(params, n_fine, streams, T), n_fine, n_obs)
-
-
-def add_perturbation(base: PathSample, y) -> PathSample:
-    """Pointwise sum X = base + Y on the grid of base. y may be a callable
-    t -> Y_t or an array aligned with base.values."""
-    if callable(y):
-        yv = np.asarray([y(t) for t in base.times], dtype=float)
-    else:
-        yv = np.asarray(y, dtype=float)
-        if yv.shape != base.values.shape:
-            raise ValueError("perturbation array does not match the grid")
-    return PathSample(base.n, base.horizon_T, base.values + yv)

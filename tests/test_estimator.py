@@ -14,14 +14,13 @@ from stablevar.estimator import (
     GridConfig,
     KSSurface,
     block_split,
-    block_statistics,
-    empirical_cdf,
     estimate,
     ks_distance,
     ks_surface,
 )
 from stablevar.limit_law import limit_scale, ref_cdf_half_stable
 from stablevar.path_sim import simulate_levy
+from stablevar.pvariation import terminal_pvariation
 from stablevar.stable_law import RandomStream, StableParams, sample_stable
 
 
@@ -63,11 +62,27 @@ class TestBlockSplit:
         with pytest.raises(ValueError):
             block_split(np.zeros(400), 100, mode="windows")
 
+    # deterministic: derandomized examples, so no false-failure rate
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(-10**6, 10**6).map(float), min_size=2 * n, max_size=5 * n),
+    )))
+    def test_levels_blocks_partition_the_series(self, case):
+        # integer-valued floats keep diff and cumsum exact, so the identity is
+        # bitwise: the blocked increments rebuild series[:m*n] - series[0]
+        n, values = case
+        series = np.array(values)
+        b = block_split(series, n)
+        np.testing.assert_array_equal(
+            np.cumsum(b.increments.ravel()), series[: b.m * n] - series[0]
+        )
+
 
 class TestBlockStatistics:
     def test_trivial_block(self):
         b = BlockedSeries(2, 3, np.array([[1.0, -2.0, 0.0], [3.0, 0.0, 0.0]]))
-        np.testing.assert_allclose(block_statistics(b, 2.0), [5.0, 9.0])
+        np.testing.assert_allclose(terminal_pvariation(b.increments, 2.0), [5.0, 9.0])
 
     def test_half_stable_limit_law(self):
         # per-block p-variations of stable increments approach the reference law
@@ -78,7 +93,7 @@ class TestBlockStatistics:
                 for i in range(m)
             ]
         )
-        stats = block_statistics(block_split(inc, n, mode="increments"), p)
+        stats = terminal_pvariation(block_split(inc, n, mode="increments").increments, p)
         cp = limit_scale(params, p).scale_C
         res = kstest(stats, lambda v: ref_cdf_half_stable(cp, v))
         assert res.pvalue > 0.01
@@ -86,22 +101,28 @@ class TestBlockStatistics:
     def test_rejects_bad_p(self):
         b = BlockedSeries(1, 2, np.zeros((1, 2)))
         with pytest.raises(ValueError):
-            block_statistics(b, -1.0)
+            terminal_pvariation(b.increments, -1.0)
 
 
 class TestEmpiricalCdf:
+    """The right-continuous step function G(x) = #{values <= x} / m inside
+    ks_distance, against its sup taken piece by piece by hand. The values are
+    chosen so that the sup lies at an inner jump, with G above F in the first
+    test and below it in the second."""
+
     def test_small_example(self):
-        g = empirical_cdf([1.0, 2.0, 3.0])
-        assert g(0.5) == 0.0
-        assert g(2.0) == pytest.approx(2.0 / 3.0)
-        assert g(3.0) == 1.0
-        assert g(np.inf) == 1.0
+        f = lambda x: ref_cdf_half_stable(1.0, x)
+        expected = max(f(0.25), abs(1 / 3 - f(0.25)), abs(1 / 3 - f(2.0)),
+                       abs(2 / 3 - f(2.0)), abs(2 / 3 - f(128.0)), 1.0 - f(128.0))
+        assert expected == 1 / 3 - f(0.25)
+        assert ks_distance([128.0, 0.25, 2.0], 1.0) == pytest.approx(expected, abs=1e-15)
 
     def test_duplicates(self):
-        g = empirical_cdf([1.0, 1.0, 2.0, 2.0])
-        assert g(1.0) == 0.5
-        assert g(1.5) == 0.5
-        assert g(2.0) == 1.0
+        # tied values make one jump of 2/m
+        f = lambda x: ref_cdf_half_stable(1.0, x)
+        expected = max(f(0.6), abs(0.5 - f(0.6)), abs(0.5 - f(128.0)), 1.0 - f(128.0))
+        assert expected == f(128.0) - 0.5
+        assert ks_distance([128.0, 0.6, 0.6, 128.0], 1.0) == pytest.approx(expected, abs=1e-15)
 
 
 class TestKsDistance:
@@ -137,8 +158,8 @@ class TestKsDistance:
         # brute force: dense grid plus both sides of every jump
         xs = np.sort(values)
         grid = np.concatenate([np.linspace(1e-4, xs[-1] * 3.0, 200_001), xs, xs - 1e-12])
-        g = empirical_cdf(values)
-        brute = np.max(np.abs(g(grid) - ref_cdf_half_stable(cp, grid)))
+        g = np.searchsorted(xs, grid, side="right") / len(values)
+        brute = np.max(np.abs(g - ref_cdf_half_stable(cp, grid)))
         assert abs(d - brute) < 1e-6
         assert d >= brute - 1e-12
 
@@ -202,14 +223,39 @@ class TestGridConfig:
         with pytest.raises(ValueError):
             GridConfig(**kwargs)
 
-    @pytest.mark.parametrize("p_max", [4.0, 3.98])
+    @pytest.mark.parametrize("p_max", [4.0, 4.5])
     def test_rejects_p_grid_reaching_four(self, p_max):
-        # alpha = p/2 reaches 2; np.arange overshoots 3.98 to 4.000000000000003
+        # alpha = p/2 reaches 2
         with pytest.raises(ValueError, match="p window"):
             GridConfig(p_max=p_max)
 
     def test_p_grid_below_four_builds(self):
         assert GridConfig(p_max=3.95).p_grid()[-1] < 4.0
+
+    def test_off_lattice_window_below_four_accepted(self):
+        # 3.98 is off the 0.05 lattice: the next lattice point, 4.0, lies
+        # within np.arange's half-step stop but outside the window
+        cfg = GridConfig(p_max=3.98)
+        p = cfg.p_grid()
+        assert p[0] == cfg.p_min and p[-1] <= cfg.p_max < 4.0
+        assert cfg.p_max - p[-1] < cfg.p_step
+
+    def test_default_grids_end_at_window(self):
+        cfg = GridConfig()
+        p, c = cfg.p_grid(), cfg.c_grid()
+        assert (len(p), len(c)) == (57, 79)
+        assert (p[0], p[-1], c[0], c[-1]) == (cfg.p_min, cfg.p_max, cfg.c_min, cfg.c_max)
+
+    # deterministic: derandomized examples, so no false-failure rate
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.floats(0.01, 3.9), st.floats(0.001, 3.9), st.floats(1e-3, 1.0))
+    def test_grid_invariants(self, lo, width, step):
+        hi = min(lo + width, 3.99)
+        cfg = GridConfig(p_min=lo, p_max=hi, p_step=step, c_min=lo, c_max=10 * hi, c_step=step)
+        for g, (a, b) in ((cfg.p_grid(), (lo, hi)), (cfg.c_grid(), (lo, 10 * hi))):
+            assert g[0] == a and np.all((a <= g) & (g <= b))
+            np.testing.assert_allclose(np.diff(g), step, rtol=1e-6)
+            assert b - g[-1] < step * (1 + 1e-6)
 
 
 def nearest_value_on_boundary(surf):
@@ -296,10 +342,9 @@ class TestEstimate:
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_refine_starts_at_surface_minimum(self, monkeypatch, seed):
-        # the default p grid ends at 3.6000000000000023, just above p_max; on
-        # Gaussian data the surface minimum lies in that top column, and the
-        # Nelder-Mead start vertex must score D_min there, not the 1.0 given
-        # to points outside the search grids
+        # on Gaussian data the surface minimum lies in the top column, p_max,
+        # and the Nelder-Mead start vertex must score D_min there, not the 1.0
+        # given to points outside the window
         blocked = block_split(np.random.default_rng(seed).normal(size=200 * 200), 200,
                               mode="increments")
         minimize = estimator.optimize.minimize
@@ -311,7 +356,7 @@ class TestEstimate:
 
         monkeypatch.setattr(estimator.optimize, "minimize", spy)
         res = estimate(blocked)
-        assert res.surface.argmin[1] == res.surface.p_grid[-1] > GridConfig().p_max
+        assert res.surface.argmin[1] == res.surface.p_grid[-1] == GridConfig().p_max
         assert starts == [res.surface.argmin[2]]
 
     def test_boundary_flag_on_gaussian_input(self):

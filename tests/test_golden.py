@@ -36,13 +36,13 @@ GOLDEN = {
     "simulate.csv":
         "c5a84ef94da02933f4dea427ae499b9b7a95e587bb3ee8716257a5ab83c26220",
     "estimate.surface.csv":
-        "204fa552db9aece77498077b84e7682610c4b999d15b80ca08a16850db870750",
+        "00450e227b4e9780276c0394c94fb47dc57e42acd0aa97208a99b7f67e5ebe0c",
     "estimate.slice.csv":
-        "376b7f18acd87d77f2ce46d7bbf0cffbab944e8fc843ba8c07d13218f8635dfb",
+        "96eb816fd3e8ff8e7d37d5070a2de64a9be123df659501b5e8e73336c04f9034",
     "estimate.result.txt":
-        "14f90dbbf6b688b67b36448db3e44cb10833fda2daf5f7ec92094d2850c3e554",
+        "e239c4b20bb5726cf791f53bafdcb81f06f1cbcb67553b288488c3d415e6f300",
     "estimate.fixedc.csv":
-        "c241a1503a6220d2a97f76a6029dead1de9a48df0f8b5d223e84a5172ceb4156",
+        "b460f42fd0f42d0fa229040d7522c7bb79af8f06494a0b3a1506cd70b45f4ffa",
     "levy.thm1-sub":
         "e8da3540d551d7d9cb79f9a1d419f09126521d043c12cd42b6e157012d70a358",
     "levy.thm1-sub.two-blocks":

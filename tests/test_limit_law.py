@@ -22,8 +22,15 @@ def c_prime_highprec(alpha, c, p):
 
 
 class TestLimitScale:
-    def test_equal_alpha_p_returns_c(self):
-        assert limit_scale(StableParams(1.3, 2.0), 1.3).scale_C == 2.0
+    @pytest.mark.parametrize("alpha,c", [(0.75, 1.0), (1.3, 2.0), (1.5, 1.0)])
+    def test_equal_alpha_p_between_sided_limits(self, alpha, c):
+        # p == alpha takes the value both one-sided limits approach, the scale
+        # the tail of |L_1|^alpha calls for; it is C only at alpha = 1
+        params = StableParams(alpha, c)
+        lo = limit_scale(params, alpha * (1.0 - 1e-9)).scale_C
+        hi = limit_scale(params, alpha * (1.0 + 1e-9)).scale_C
+        mid = limit_scale(params, alpha).scale_C
+        assert min(lo, hi) <= mid <= max(lo, hi)
 
     def test_reference_value(self):
         ls = limit_scale(StableParams(0.75, 6.35), 1.5)
@@ -59,8 +66,7 @@ class TestLimitScale:
     @settings(max_examples=200, deadline=None)
     @given(st.floats(0.2, 1.95), st.floats(0.1, 10.0))
     def test_continuity_across_alpha_over_p_one(self, alpha, c):
-        # p = alpha (1 -+ 1e-9) puts alpha/p on either side of 1; both go
-        # through the regularized formula, not the p == alpha switch
+        # p = alpha (1 -+ 1e-9) puts alpha/p on either side of 1
         params = StableParams(alpha, c)
         lo = limit_scale(params, alpha * (1.0 - 1e-9)).scale_C
         hi = limit_scale(params, alpha * (1.0 + 1e-9)).scale_C

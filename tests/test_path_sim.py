@@ -7,18 +7,22 @@ from scipy.stats import ks_2samp, kstest, levy_stable, norm
 from stablevar.path_sim import (
     DriftSpec,
     PathSample,
-    add_perturbation,
     levy_increments,
     simulate_levy,
-    simulate_sde,
     simulate_sde_batch,
 )
 from stablevar.pvariation import terminal_pvariation
-from stablevar.scenarios import levy_statistic_sample, sde_statistic_pairs
+from stablevar.scenarios import (
+    ks_threshold,
+    levy_statistic_sample,
+    sde_statistic_pairs,
+    two_sample_ks,
+)
 from stablevar.stable_law import RandomStream, StableParams
 
 P075 = StableParams(0.75, 6.35)
 P2 = StableParams(2.0, 1.0)
+P15 = StableParams(1.5, 1.0)
 P1_SKEWED = StableParams(1.0, 1.0, 0.8)
 
 
@@ -27,7 +31,7 @@ class TestSimulateLevy:
         path = simulate_levy(P075, 4, 1.0, RandomStream(0))
         assert len(path.values) == 5
         assert path.values[0] == 0.0
-        np.testing.assert_allclose(path.times, [0, 0.25, 0.5, 0.75, 1.0])
+        assert (path.n, path.horizon_T) == (4, 1.0)
 
     def test_gaussian_increments(self):
         path = simulate_levy(P2, 100_000, 1.0, RandomStream(1))
@@ -88,14 +92,14 @@ class TestLevyIncrements:
 
     def test_alpha_one_skewed_sde_pairs_levy_side_matches_path(self):
         # the Levy side of the pairs row-sums the fine increments, so it matches
-        # simulate_levy on the fine grid restricted to the coarse one
+        # simulate_levy on the fine grid observed on the coarse one
         n, p, mult, m = 50, 1.5, 4, 3
         _, v_levy = sde_statistic_pairs(
             P1_SKEWED, DriftSpec("zero"), p, n, m, seed=6, fine_multiplier=mult
         )
         expected = [
             terminal_pvariation(
-                simulate_levy(P1_SKEWED, n * mult, 1.0, RandomStream(6, i)).restrict(n).increments(), p
+                np.diff(simulate_levy(P1_SKEWED, n * mult, 1.0, RandomStream(6, i)).values[::mult]), p
             )
             for i in range(m)
         ]
@@ -105,29 +109,27 @@ class TestLevyIncrements:
 class TestSimulateSde:
     def test_zero_drift_bitwise_reduction(self):
         stream = RandomStream(5)
-        sde = simulate_sde(0.0, DriftSpec("zero"), P075, 1600, 100, 1.0, stream)
-        levy = simulate_levy(P075, 1600, 1.0, stream).restrict(100)
-        np.testing.assert_array_equal(sde.values, levy.values)
+        sde = simulate_sde_batch(0.0, DriftSpec("zero"), P075, 1600, 100, 1.0, [stream])[0]
+        levy = simulate_levy(P075, 1600, 1.0, stream).values[::16]
+        np.testing.assert_array_equal(sde, levy)
 
     def test_rejects_incompatible_grids(self):
         with pytest.raises(ValueError):
-            simulate_sde(0.0, DriftSpec("zero"), P075, 150, 100, 1.0, RandomStream(6))
+            simulate_sde_batch(0.0, DriftSpec("zero"), P075, 150, 100, 1.0, [RandomStream(6)])
 
     def test_bounded_drift_pointwise_bound(self):
-        # |f| <= K implies |X - (x0 + L)| <= K*T on the grid
-        K = 0.7
-        drift = DriftSpec("custom", func=lambda s, x: K * np.cos(3.0 * x))
+        # |f| <= 1 for f = cos implies |X - (x0 + L)| <= T on the grid
         stream = RandomStream(7)
-        sde = simulate_sde(1.0, drift, P075, 800, 100, 2.0, stream)
-        levy = simulate_levy(P075, 800, 2.0, stream).restrict(100)
-        assert np.max(np.abs(sde.values - (1.0 + levy.values))) <= K * 2.0 + 1e-12
+        sde = simulate_sde_batch(1.0, DriftSpec("cosine"), P075, 800, 100, 2.0, [stream])[0]
+        levy = simulate_levy(P075, 800, 2.0, stream).values[::8]
+        assert np.max(np.abs(sde - (1.0 + levy))) <= 2.0 + 1e-12
 
     def test_batch_matches_scalar_path(self):
         streams = [RandomStream(8, i) for i in range(3)]
         batch = simulate_sde_batch(0.5, DriftSpec("cosine"), P075, 400, 100, 1.0, streams)
         for i, s in enumerate(streams):
-            single = simulate_sde(0.5, DriftSpec("cosine"), P075, 400, 100, 1.0, s)
-            np.testing.assert_allclose(batch[i], single.values, rtol=1e-12, atol=1e-12)
+            single = simulate_sde_batch(0.5, DriftSpec("cosine"), P075, 400, 100, 1.0, [s])[0]
+            np.testing.assert_allclose(batch[i], single, rtol=1e-12, atol=1e-12)
 
     def test_refinement_consistency_in_law(self):
         # doubling the fine grid leaves the coarse-grid terminal law unchanged
@@ -139,27 +141,27 @@ class TestSimulateSde:
 
 
 class TestAddPerturbation:
+    """Theorem 3's X = L + Y: levy_statistic_sample adds the increments of a
+    deterministic perturbation t -> Y_t to each path's grid increments."""
+
     def test_zero_identity(self):
-        base = simulate_levy(P075, 50, 1.0, RandomStream(11))
-        out = add_perturbation(base, lambda t: 0.0)
-        np.testing.assert_array_equal(out.values, base.values)
+        base = levy_statistic_sample(P15, 1.2, 50, 3, seed=11)
+        out = levy_statistic_sample(P15, 1.2, 50, 3, seed=11, perturbation=lambda t: 0.0)
+        np.testing.assert_array_equal(out, base)
 
     def test_linear_shifts_increments(self):
-        K = 2.5
-        base = simulate_levy(P075, 50, 1.0, RandomStream(12))
-        out = add_perturbation(base, lambda t: K * t)
-        np.testing.assert_allclose(out.increments() - base.increments(), K / 50.0, rtol=1e-9)
-
-    def test_array_mismatch_rejected(self):
-        base = simulate_levy(P075, 50, 1.0, RandomStream(13))
-        with pytest.raises(ValueError):
-            add_perturbation(base, np.zeros(7))
+        # Y_t = K t adds K/n to every increment, so at p = 2 the statistic
+        # grows by 2 (K/n) L_1 + K^2/n, L_1 the sum of the increments
+        K, n, m = 2.5, 50, 3
+        base = levy_statistic_sample(P15, 2.0, n, m, seed=12)
+        out = levy_statistic_sample(P15, 2.0, n, m, seed=12, perturbation=lambda t: K * t)
+        l1 = levy_increments(P15, n, [RandomStream(12, i) for i in range(m)]).sum(axis=1)
+        np.testing.assert_allclose(out - base, 2.0 * K / n * l1 + K**2 / n,
+                                   rtol=1e-9, atol=1e-12 * np.max(base))
 
     def test_lipschitz_perturbation_same_limit_law(self):
         # V_p statistics of L and L + sin(t) agree in law (m=500 blocks)
-        params, p, n, m = StableParams(1.5, 1.0), 1.2, 1000, 500
-        from stablevar.scenarios import two_sample_ks, ks_threshold
-
+        params, p, n, m = P15, 1.2, 1000, 500
         base = levy_statistic_sample(params, p, n, m, seed=14, compensate=True)
         pert = levy_statistic_sample(
             params, p, n, m, seed=15, compensate=True, perturbation=math.sin
@@ -171,8 +173,3 @@ class TestPathSample:
     def test_length_validation(self):
         with pytest.raises(ValueError):
             PathSample(10, 1.0, np.zeros(5))
-
-    def test_restrict_requires_divisor(self):
-        path = simulate_levy(P075, 12, 1.0, RandomStream(16))
-        with pytest.raises(ValueError):
-            path.restrict(5)
