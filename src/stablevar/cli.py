@@ -225,6 +225,9 @@ def cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return EXIT_SCENARIO
+    except ValueError as exc:
+        print(f"too few blocks: {exc}", file=sys.stderr)
+        return EXIT_GRID
     verdict = "PASS" if report.passed else "FAIL"
     print(
         f"{report.name}: KS statistic {report.statistic:.5f} "

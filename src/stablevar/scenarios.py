@@ -5,6 +5,8 @@ the limiting stable law with a two-sample KS test."""
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,13 +35,35 @@ def ks_threshold(m: int, coeff: float = 1.52) -> float:
 
 BLOCK_VALUES = 200 * 10_000
 """Fine-grid increments held at once by the statistic functions (16 MB of
-float64): they draw max(1, BLOCK_VALUES // n_fine) streams per block."""
+float64), shared by all threads: each block draws
+max(1, BLOCK_VALUES // (n_fine * workers)) streams."""
 
 
-def _blocks(m: int, n_fine: int):
-    rows = max(1, BLOCK_VALUES // n_fine)
-    for lo in range(0, m, rows):
-        yield lo, min(lo + rows, m)
+def _workers() -> int:
+    """Usable cores: the CPU affinity of this process where the platform
+    reports it, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _map_blocks(m: int, n_fine: int, fill) -> None:
+    """Call fill(lo, hi) for consecutive stream blocks covering range(m), on
+    one thread per usable core. Each fill writes its own disjoint slice of
+    the caller's outputs, and every stream is a pure function of its index,
+    so the result does not depend on the partition or the thread count. The
+    first exception raised in a block reaches the caller; blocks not yet
+    started are cancelled."""
+    workers = _workers()
+    rows = max(1, BLOCK_VALUES // (n_fine * workers))
+    los = range(0, m, rows)
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        for _ in pool.map(fill, los, [min(lo + rows, m) for lo in los]):
+            pass
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def levy_statistic_sample(
@@ -60,12 +84,15 @@ def levy_statistic_sample(
         t = np.arange(n + 1) / n
         dY = np.diff(np.asarray([perturbation(tt) for tt in t], dtype=float))
     out = np.empty(m)
-    for lo, hi in _blocks(m, n):
+
+    def fill(lo, hi):
         streams = [RandomStream(seed, stream_offset + i) for i in range(lo, hi)]
         dL = levy_increments(params, n, streams)
         if dY is not None:
             dL += dY
         out[lo:hi] = terminal_pvariation(dL, p)
+
+    _map_blocks(m, n, fill)
     if compensate:
         out -= n * compensator(params, p, n)
     return out
@@ -88,13 +115,16 @@ def sde_statistic_pairs(
     n_fine = fine_multiplier * n
     v_sde = np.empty(m)
     v_levy = np.empty(m)
-    for lo, hi in _blocks(m, n_fine):
+
+    def fill(lo, hi):
         dL = levy_increments(params, n_fine, [RandomStream(seed, i) for i in range(lo, hi)])
         inc_sde = np.diff(euler(x0, drift, dL, n_fine, n), axis=1)
         v_sde[lo:hi] = terminal_pvariation(inc_sde, p)
-        del inc_sde  # one block of temporaries at a time bounds peak memory
+        del inc_sde  # one block of temporaries per thread bounds peak memory
         inc_levy = dL.reshape(hi - lo, n, fine_multiplier).sum(axis=2)
         v_levy[lo:hi] = terminal_pvariation(inc_levy, p)
+
+    _map_blocks(m, n_fine, fill)
     return v_sde, v_levy
 
 
@@ -109,9 +139,22 @@ class ScenarioReport:
         return self.statistic < self.threshold
 
 
+MIN_PATHS = 5
+"""The fewest paths a scenario runs: below 5 the KS threshold 1.52 sqrt(2/m)
+is at least 1.075, above any KS statistic, so the scenario could not fail."""
+
+
 def run_scenario(name: str, seed: int = 1, m: int = 2000, n: int = 10000) -> ScenarioReport:
     """Run one named convergence scenario and report the two-sample KS
-    statistic against its threshold."""
+    statistic against its threshold. An unknown name raises KeyError; fewer
+    than MIN_PATHS paths or fewer than one step raise ValueError before any
+    path is drawn."""
+    if name not in SCENARIOS:
+        raise KeyError(name)
+    if m < MIN_PATHS or n < 1:
+        raise ValueError(
+            f"a scenario needs m >= {MIN_PATHS} paths and n >= 1 steps, got m={m}, n={n}"
+        )
     thr = ks_threshold(m)
     if name == "thm1-sub":
         # p > alpha: no compensation, subordinator limit
@@ -132,12 +175,10 @@ def run_scenario(name: str, seed: int = 1, m: int = 2000, n: int = 10000) -> Sce
         ref = levy_statistic_sample(
             params, p, n, m, seed, compensate=True, stream_offset=m
         )
-    elif name == "cor-sde":
-        # cosine-drift SDE vs the pure Levy path from the same streams
+    else:
+        # cor-sde: cosine-drift SDE vs the pure Levy path from the same streams
         params, p = StableParams(0.75, 6.35, 0.0), 1.5
         stats, ref = sde_statistic_pairs(params, DriftSpec("cosine"), p, n, m, seed)
-    else:
-        raise KeyError(name)
     return ScenarioReport(name, two_sample_ks(stats, ref), thr)
 
 

@@ -204,6 +204,18 @@ class TestVerify:
     def test_unknown_scenario_exits_5(self):
         assert run(["verify", "--scenario", "no-such-thing"]) == 5
 
+    @pytest.mark.parametrize("size", [["--m", "0"], ["--m", "4"], ["--n", "0"]])
+    def test_degenerate_size_exits_4(self, capsys, size):
+        # m < 5 gives a KS threshold above 1 that no statistic reaches; m = 0
+        # and n = 0 leave nothing to sample
+        assert run(["verify", "--scenario", "thm1-sub", "--n", "50", *size]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("too few blocks:") and err.count("\n") == 1
+
+    def test_unknown_scenario_before_sizes(self):
+        assert run(["verify", "--scenario", "no-such-thing", "--m", "0"]) == 5
+
     def test_small_scenario_passes(self, capsys):
         code = run([
             "verify", "--scenario", "thm1-sub", "--seed", "1",

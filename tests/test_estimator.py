@@ -329,6 +329,23 @@ class TestEstimate:
         assert b.c_star == pytest.approx(lam * a.c_star, rel=1e-6)
         assert b.d_min == pytest.approx(a.d_min, abs=1e-9)
 
+    # deterministic: derandomized examples, so no false-failure rate
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(st.integers(-4, 4), st.integers(0, 2**32 - 1), st.floats(0.6, 1.1))
+    def test_scale_equivariance_powers_of_two(self, k, seed, alpha):
+        # lam = 2^k scales the increments and the C grid exactly, and each
+        # D(lam C, p) equals D(C, p) up to rounding, so the argmin moves along
+        lam = 2.0**k
+        blocked = self.make_blocked(StableParams(alpha, 1.5), seed=seed, m=24, n=60)
+        scaled = BlockedSeries(blocked.m, blocked.n, lam * blocked.increments)
+        window = dict(p_min=1.0, p_max=2.4, p_step=0.1, refine=False)
+        a = estimate(blocked, GridConfig(c_min=0.5, c_max=6.0, c_step=0.25, **window))
+        b = estimate(scaled, GridConfig(c_min=lam * 0.5, c_max=lam * 6.0, c_step=lam * 0.25,
+                                        **window))
+        assert b.p_star == a.p_star
+        assert b.c_star == pytest.approx(lam * a.c_star, rel=1e-9)
+        assert b.d_min == pytest.approx(a.d_min, abs=1e-9)
+
     def test_refine_stays_in_window(self):
         # Gaussian data pull Nelder-Mead past the top of the p window, where
         # alpha = p/2 would exceed 2; vertices outside the window score 1.0
