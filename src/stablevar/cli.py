@@ -17,7 +17,7 @@ import numpy as np
 from stablevar.estimator import EstimationError, GridConfig, block_split, estimate, ks_surface
 from stablevar.path_sim import DriftSpec, simulate_sde_batch
 from stablevar.stable_law import RandomStream, StableParams
-from stablevar.scenarios import SCENARIOS, run_scenario
+from stablevar.scenarios import SCENARIOS, check_sizes, run_scenario
 
 MAGIC = "# stablevar v1 "
 
@@ -217,17 +217,18 @@ def _write_gnuplot(path, base):
 
 
 def cmd_verify(args) -> int:
-    try:
-        report = run_scenario(args.scenario, seed=args.seed, m=args.m, n=args.n)
-    except KeyError:
+    if args.scenario not in SCENARIOS:
         print(
             f"unknown scenario {args.scenario!r}; choose from {', '.join(SCENARIOS)}",
             file=sys.stderr,
         )
         return EXIT_SCENARIO
+    try:
+        check_sizes(args.m, args.n)
     except ValueError as exc:
         print(f"too few blocks: {exc}", file=sys.stderr)
         return EXIT_GRID
+    report = run_scenario(args.scenario, seed=args.seed, m=args.m, n=args.n)
     verdict = "PASS" if report.passed else "FAIL"
     print(
         f"{report.name}: KS statistic {report.statistic:.5f} "

@@ -38,6 +38,14 @@ BLOCK_VALUES = 200 * 10_000
 float64), shared by all threads: each block draws
 max(1, BLOCK_VALUES // (n_fine * workers)) streams."""
 
+MIN_ROWS = 50
+"""The fewest streams a block holds when the pool could use more threads.
+path_sim.euler runs a few numpy calls per fine step for each block, holding
+the interpreter lock, so smaller blocks serialise more of it: per 10^4 steps
+a block took 39 ms at 1 row, 62 ms at 50 and 139 ms at 200 (2-vCPU x86-64).
+So the pool has at most BLOCK_VALUES // (n_fine * MIN_ROWS) threads, and the
+threads together still hold BLOCK_VALUES increments."""
+
 
 def _workers() -> int:
     """Usable cores: the CPU affinity of this process where the platform
@@ -50,12 +58,13 @@ def _workers() -> int:
 
 def _map_blocks(m: int, n_fine: int, fill) -> None:
     """Call fill(lo, hi) for consecutive stream blocks covering range(m), on
-    one thread per usable core. Each fill writes its own disjoint slice of
-    the caller's outputs, and every stream is a pure function of its index,
-    so the result does not depend on the partition or the thread count. The
-    first exception raised in a block reaches the caller; blocks not yet
-    started are cancelled."""
-    workers = _workers()
+    one thread per usable core, up to the threads that keep MIN_ROWS streams
+    in a block. Each fill writes its own disjoint slice of the caller's
+    outputs, and every stream is a pure function of its index, so the result
+    does not depend on the partition or the thread count. The first
+    exception raised in a block reaches the caller; blocks not yet started
+    are cancelled."""
+    workers = max(1, min(_workers(), BLOCK_VALUES // (n_fine * MIN_ROWS)))
     rows = max(1, BLOCK_VALUES // (n_fine * workers))
     los = range(0, m, rows)
     pool = ThreadPoolExecutor(max_workers=workers)
@@ -144,17 +153,22 @@ MIN_PATHS = 5
 is at least 1.075, above any KS statistic, so the scenario could not fail."""
 
 
-def run_scenario(name: str, seed: int = 1, m: int = 2000, n: int = 10000) -> ScenarioReport:
-    """Run one named convergence scenario and report the two-sample KS
-    statistic against its threshold. An unknown name raises KeyError; fewer
-    than MIN_PATHS paths or fewer than one step raise ValueError before any
-    path is drawn."""
-    if name not in SCENARIOS:
-        raise KeyError(name)
+def check_sizes(m: int, n: int) -> None:
+    """Raise ValueError unless a scenario can run m paths of n steps: at
+    least MIN_PATHS paths and at least one step."""
     if m < MIN_PATHS or n < 1:
         raise ValueError(
             f"a scenario needs m >= {MIN_PATHS} paths and n >= 1 steps, got m={m}, n={n}"
         )
+
+
+def run_scenario(name: str, seed: int = 1, m: int = 2000, n: int = 10000) -> ScenarioReport:
+    """Run one named convergence scenario and report the two-sample KS
+    statistic against its threshold. An unknown name raises KeyError; sizes
+    that check_sizes rejects raise ValueError before any path is drawn."""
+    if name not in SCENARIOS:
+        raise KeyError(name)
+    check_sizes(m, n)
     thr = ks_threshold(m)
     if name == "thm1-sub":
         # p > alpha: no compensation, subordinator limit

@@ -5,6 +5,7 @@ import stat
 import numpy as np
 import pytest
 
+from stablevar import cli
 from stablevar.cli import CSVParseError, main, read_series, write_series
 
 
@@ -215,6 +216,17 @@ class TestVerify:
 
     def test_unknown_scenario_before_sizes(self):
         assert run(["verify", "--scenario", "no-such-thing", "--m", "0"]) == 5
+
+    @pytest.mark.parametrize("error", [ValueError, KeyError])
+    def test_error_inside_scenario_propagates(self, monkeypatch, error):
+        # only the name and the sizes map to exit codes; an error raised
+        # while sampling is a failure, not "too few blocks"
+        def broken(*args, **kwargs):
+            raise error("raised while sampling")
+
+        monkeypatch.setattr(cli, "run_scenario", broken)
+        with pytest.raises(error, match="raised while sampling"):
+            run(["verify", "--scenario", "thm1-sub", "--m", "5", "--n", "1"])
 
     def test_small_scenario_passes(self, capsys):
         code = run([

@@ -50,6 +50,7 @@ class TestBlockPartition:
         expected = CASES[name]()
         # five rows' worth: blocks of 5, 2 and 1 streams, run 1-3 at a time
         monkeypatch.setattr(scenarios, "BLOCK_VALUES", 5 * N_FINE)
+        monkeypatch.setattr(scenarios, "MIN_ROWS", 1)
         monkeypatch.setattr(scenarios, "_workers", lambda: workers)
         got = CASES[name]()
         for e, g in zip(np.atleast_2d(expected), np.atleast_2d(got)):
@@ -58,6 +59,7 @@ class TestBlockPartition:
     @pytest.mark.parametrize("workers", [1, 3])
     def test_block_exception_reaches_caller(self, monkeypatch, workers):
         monkeypatch.setattr(scenarios, "BLOCK_VALUES", 2 * N_FINE)
+        monkeypatch.setattr(scenarios, "MIN_ROWS", 1)
         monkeypatch.setattr(scenarios, "_workers", lambda: workers)
         with pytest.raises(ValueError, match="p must be positive"):
             levy_statistic_sample(P15, 0.0, 60, M, seed=3)
@@ -81,6 +83,7 @@ class TestBlockMemory:
 
         monkeypatch.setattr(scenarios, "levy_increments", spy)
         monkeypatch.setattr(scenarios, "BLOCK_VALUES", rows_worth * n_fine)
+        monkeypatch.setattr(scenarios, "MIN_ROWS", 1)
         monkeypatch.setattr(scenarios, "_workers", lambda: workers)
         for statistic in (
             lambda: sde_statistic_pairs(P075, COS, 1.5, 15, M, seed=4,
@@ -97,6 +100,53 @@ class TestBlockMemory:
                     assert len(idx) * n_fine * workers <= scenarios.BLOCK_VALUES
                 else:
                     assert len(idx) == 1
+
+
+def record_blocks(monkeypatch, m, n_fine):
+    """Run _map_blocks with a fill that only records its blocks; return the
+    pool size and the block sizes."""
+    pools, sizes = [], []
+    pool = scenarios.ThreadPoolExecutor
+
+    def spy(max_workers):
+        pools.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    monkeypatch.setattr(scenarios, "ThreadPoolExecutor", spy)
+    scenarios._map_blocks(m, n_fine, lambda lo, hi: sizes.append((lo, hi - lo)))
+    (threads,) = pools
+    return threads, [size for _, size in sorted(sizes)]
+
+
+class TestBlockFloor:
+    # path_sim.euler pays a fixed cost per block and fine step under the
+    # interpreter lock, so many cores must not shrink the blocks without end
+
+    @pytest.mark.parametrize("rows_worth", [2, 8, 20])
+    @pytest.mark.parametrize("workers", [1, 4, 16, 200])
+    def test_blocks_keep_min_rows(self, monkeypatch, rows_worth, workers):
+        n_fine, m = 15, 40
+        monkeypatch.setattr(scenarios, "MIN_ROWS", 3)
+        monkeypatch.setattr(scenarios, "BLOCK_VALUES", rows_worth * n_fine)
+        monkeypatch.setattr(scenarios, "_workers", lambda: workers)
+        threads, sizes = record_blocks(monkeypatch, m, n_fine)
+        assert 1 <= threads <= workers
+        assert sum(sizes) == m
+        for size in sizes:
+            assert size * n_fine * threads <= scenarios.BLOCK_VALUES
+        # every block but the last holds MIN_ROWS streams, unless
+        # BLOCK_VALUES holds fewer
+        for size in sizes[:-1]:
+            assert size >= min(3, rows_worth)
+
+    @pytest.mark.parametrize("workers", [2, 4, 16, 64])
+    def test_verify_sizes_on_many_cores(self, monkeypatch, workers):
+        # the verify scenarios draw 2000 streams of 10^4 steps
+        monkeypatch.setattr(scenarios, "_workers", lambda: workers)
+        threads, sizes = record_blocks(monkeypatch, 2000, 10_000)
+        assert threads == min(workers, 4)
+        assert min(sizes) >= scenarios.MIN_ROWS
+        assert max(sizes) * 10_000 * threads <= scenarios.BLOCK_VALUES
 
 
 class TestRunScenarioSizes:
