@@ -84,15 +84,22 @@ def read_series(path: str) -> tuple[np.ndarray, dict]:
 
 
 def cmd_simulate(args) -> int:
-    params = StableParams(args.alpha, args.scale, args.beta)
+    try:
+        params = StableParams(args.alpha, args.scale, args.beta)
+        if min(args.m, args.n, args.fine_multiplier) < 1 or not 1.0 <= args.n * args.T < math.inf:
+            raise ValueError(
+                "--m, --n and --fine-multiplier must be >= 1 and n*T finite and >= 1, got m="
+                f"{args.m}, n={args.n}, fine multiplier={args.fine_multiplier}, T={args.T!r}")
+    except ValueError as exc:
+        print(f"infeasible simulation: {exc}", file=sys.stderr)
+        return EXIT_GRID
     drift = DriftSpec("cosine" if args.drift == "cos" else "zero")
     streams = [RandomStream(args.seed, i) for i in range(args.m)]
-    paths = simulate_sde_batch(
+    increments = simulate_sde_batch(
         args.x0, drift, params,
         n_fine=args.fine_multiplier * args.n, n_obs=args.n, T=args.T,
         streams=streams,
     )
-    increments = np.diff(paths, axis=1).reshape(-1)
     config = {
         "mode": "increments",
         "alpha": args.alpha, "scale": args.scale, "beta": args.beta,
@@ -101,11 +108,11 @@ def cmd_simulate(args) -> int:
         "x0": args.x0,
     }
     try:
-        write_series(args.output, increments, config)
+        write_series(args.output, increments.reshape(-1), config)
     except OSError as exc:
         print(f"cannot write {args.output}: {exc}", file=sys.stderr)
         return EXIT_IO
-    print(f"wrote {args.m} blocks x {args.n} increments to {args.output}")
+    print(f"wrote {args.m} blocks x {increments.shape[1]} increments to {args.output}")
     return EXIT_OK
 
 

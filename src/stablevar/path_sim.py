@@ -1,4 +1,4 @@
-"""Uniform-grid sample paths of X_t = x + int_0^t f(s, X_s) ds + L_t: one
+"""Uniform-grid sample paths of X_t = x + int_0^t f(X_s) ds + L_t: one
 generator of stable Levy grid increments (levy_increments), one vectorized
 Euler kernel (euler), and the Levy and SDE paths built on them."""
 
@@ -37,8 +37,8 @@ class PathSample:
 
 @dataclass(frozen=True)
 class DriftSpec:
-    """Drift f(s, x) of the SDE. kind 'zero' keeps the pure-Levy reduction
-    exact; 'cosine' is f(s, x) = cos(x)."""
+    """Autonomous drift f(x) of the SDE. kind 'zero' is f = 0, which keeps
+    the pure-Levy reduction exact; 'cosine' is f(x) = cos(x)."""
 
     kind: str = "zero"
 
@@ -46,9 +46,9 @@ class DriftSpec:
         if self.kind not in ("zero", "cosine"):
             raise ValueError(f"unknown drift kind {self.kind!r}")
 
-    def __call__(self, s: float, x):
+    def __call__(self, x):
         if self.kind == "zero":
-            return np.zeros_like(np.asarray(x, dtype=float))
+            return 0.0
         return np.cos(x)
 
 
@@ -72,10 +72,11 @@ def levy_increments(
 
 
 def euler(x0: float, drift: DriftSpec, dL: np.ndarray, n_fine: int, n_obs: int) -> np.ndarray:
-    """Explicit Euler for X_t = x0 + int f(s, X_s) ds + L_t, one path per row
-    of the fine-grid increments dL (spacing 1/n_fine), vectorized across
-    rows. Returns the values on the observation grid of spacing 1/n_obs: an
-    (m, floor(n_obs*T)+1) array when dL holds the increments over [0, T]."""
+    """Explicit Euler for X_t = x0 + int f(X_s) ds + L_t, one path per row of
+    the fine-grid increments dL (spacing 1/n_fine), vectorized across rows.
+    Returns the increments X_{j/n_obs} - X_{(j-1)/n_obs} on the observation
+    grid: an (m, floor(n_obs*T)) array when dL holds the increments over
+    [0, T]."""
     if n_obs < 1:
         raise ValueError("n_obs must be >= 1")
     if n_fine % n_obs != 0:
@@ -83,13 +84,13 @@ def euler(x0: float, drift: DriftSpec, dL: np.ndarray, n_fine: int, n_obs: int) 
     m, k_max = dL.shape
     h = 1.0 / n_fine
     step = n_fine // n_obs
-    out = np.empty((m, k_max // step + 1))
-    x = np.full(m, float(x0))
-    out[:, 0] = x
+    out = np.empty((m, k_max // step))
+    x = seen = np.full(m, float(x0))
     for k in range(k_max):
-        x = x + drift(k * h, x) * h + dL[:, k]
+        x = x + drift(x) * h + dL[:, k]
         if (k + 1) % step == 0:
-            out[:, (k + 1) // step] = x
+            out[:, k // step] = x - seen
+            seen = x
     return out
 
 
@@ -111,7 +112,7 @@ def simulate_sde_batch(
     T: float,
     streams: list[RandomStream],
 ) -> np.ndarray:
-    """Euler paths for many independent streams at once. Returns an
-    (m, floor(n_obs*T)+1) array of coarse-grid values; row i is stream i's
-    path."""
+    """Euler paths for many independent streams at once, on the fine grid of
+    spacing 1/n_fine. Returns their (m, floor(n_obs*T)) increments on the
+    observation grid of spacing 1/n_obs; row i is stream i's path."""
     return euler(x0, drift, levy_increments(params, n_fine, streams, T), n_fine, n_obs)

@@ -34,16 +34,16 @@ def ks_threshold(m: int, coeff: float = 1.52) -> float:
 
 
 BLOCK_VALUES = 200 * 10_000
-"""Fine-grid increments held at once by the statistic functions (16 MB of
+"""Grid increments held at once by the statistic functions (16 MB of
 float64), shared by all threads: each block draws
-max(1, BLOCK_VALUES // (n_fine * workers)) streams."""
+max(1, BLOCK_VALUES // (n * workers)) streams of n steps."""
 
 MIN_ROWS = 50
 """The fewest streams a block holds when the pool could use more threads.
-path_sim.euler runs a few numpy calls per fine step for each block, holding
+path_sim.euler runs a few numpy calls per step for each block, holding
 the interpreter lock, so smaller blocks serialise more of it: per 10^4 steps
 a block took 39 ms at 1 row, 62 ms at 50 and 139 ms at 200 (2-vCPU x86-64).
-So the pool has at most BLOCK_VALUES // (n_fine * MIN_ROWS) threads, and the
+So the pool has at most BLOCK_VALUES // (n * MIN_ROWS) threads, and the
 threads together still hold BLOCK_VALUES increments."""
 
 
@@ -56,16 +56,16 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _map_blocks(m: int, n_fine: int, fill) -> None:
-    """Call fill(lo, hi) for consecutive stream blocks covering range(m), on
+def _map_blocks(m: int, n: int, fill) -> None:
+    """Call fill(lo, hi) for consecutive blocks of the m streams of n steps, on
     one thread per usable core, up to the threads that keep MIN_ROWS streams
     in a block. Each fill writes its own disjoint slice of the caller's
     outputs, and every stream is a pure function of its index, so the result
     does not depend on the partition or the thread count. The first
     exception raised in a block reaches the caller; blocks not yet started
     are cancelled."""
-    workers = max(1, min(_workers(), BLOCK_VALUES // (n_fine * MIN_ROWS)))
-    rows = max(1, BLOCK_VALUES // (n_fine * workers))
+    workers = max(1, min(_workers(), BLOCK_VALUES // (n * MIN_ROWS)))
+    rows = max(1, BLOCK_VALUES // (n * workers))
     los = range(0, m, rows)
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
@@ -73,6 +73,15 @@ def _map_blocks(m: int, n_fine: int, fill) -> None:
             pass
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def _check_stream_sizes(n: int, m: int) -> None:
+    """Raise ValueError unless the statistic functions can draw m >= 0
+    streams of n >= 1 steps."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got n={n}")
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got m={m}")
 
 
 def levy_statistic_sample(
@@ -88,6 +97,7 @@ def levy_statistic_sample(
     """m values of V_p^n(L)_1 (optionally compensated by n B_n(alpha, p)),
     one per independent stream; perturbation, if given, is a callable t -> Y_t
     added to each path before taking increments."""
+    _check_stream_sizes(n, m)
     dY = None
     if perturbation is not None:
         t = np.arange(n + 1) / n
@@ -108,32 +118,21 @@ def levy_statistic_sample(
 
 
 def sde_statistic_pairs(
-    params: StableParams,
-    drift: DriftSpec,
-    p: float,
-    n: int,
-    m: int,
-    seed: int,
-    x0: float = 0.0,
-    fine_multiplier: int = 1,
+    params: StableParams, drift: DriftSpec, p: float, n: int, m: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-stream pairs (V_p^n(X)_1, V_p^n(L)_1) where X is the Euler solution
-    with the given drift on the grid of spacing 1/(fine_multiplier n) and L
-    the pure Levy path built from the same increments, both observed on the
-    grid of spacing 1/n."""
-    n_fine = fine_multiplier * n
+    """Per-stream pairs (V_p^n(X)_1, V_p^n(L)_1) where L is the stable Levy
+    path on the grid of spacing 1/n and X the Euler solution from X_0 = 0
+    with the given drift, driven by the same grid increments."""
+    _check_stream_sizes(n, m)
     v_sde = np.empty(m)
     v_levy = np.empty(m)
 
     def fill(lo, hi):
-        dL = levy_increments(params, n_fine, [RandomStream(seed, i) for i in range(lo, hi)])
-        inc_sde = np.diff(euler(x0, drift, dL, n_fine, n), axis=1)
-        v_sde[lo:hi] = terminal_pvariation(inc_sde, p)
-        del inc_sde  # one block of temporaries per thread bounds peak memory
-        inc_levy = dL.reshape(hi - lo, n, fine_multiplier).sum(axis=2)
-        v_levy[lo:hi] = terminal_pvariation(inc_levy, p)
+        dL = levy_increments(params, n, [RandomStream(seed, i) for i in range(lo, hi)])
+        v_sde[lo:hi] = terminal_pvariation(euler(0.0, drift, dL, n, n), p)
+        v_levy[lo:hi] = terminal_pvariation(dL, p)
 
-    _map_blocks(m, n_fine, fill)
+    _map_blocks(m, n, fill)
     return v_sde, v_levy
 
 

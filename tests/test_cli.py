@@ -87,6 +87,30 @@ class TestSimulate:
             "--output", str(tmp_path / "missing-dir" / "s.csv"),
         ]) == 2
 
+    @pytest.mark.parametrize("bad", [
+        ["--m", "0"], ["--m", "-3"], ["--n", "0"], ["--fine-multiplier", "0"],
+        ["--T", "0"], ["--T", "0.01"], ["--T", "-1"], ["--T", "nan"], ["--T", "inf"],
+        ["--alpha", "2.5"], ["--scale", "0"], ["--beta", "1.5"],
+    ], ids=" ".join)
+    def test_infeasible_arguments_exit_4(self, tmp_path, capsys, bad):
+        # n*T = 20 * 0.01 < 1 leaves no whole increment to write
+        out = tmp_path / "s.csv"
+        assert run(["simulate", "--n", "20", "--m", "2", "--fine-multiplier", "2",
+                    *bad, "--output", str(out)]) == 4
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith("infeasible simulation:") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("T, per_block", [("2", 40), ("1.5", 30), ("0.05", 1)])
+    def test_reports_increments_written_per_block(self, tmp_path, capsys, T, per_block):
+        out = str(tmp_path / "s.csv")
+        assert run(["simulate", "--n", "20", "--m", "3", "--fine-multiplier", "2",
+                    "--T", T, "--output", out]) == 0
+        assert capsys.readouterr().out == f"wrote 3 blocks x {per_block} increments to {out}\n"
+        values, _ = read_series(out)
+        assert len(values) == 3 * per_block
+
 
 class TestEstimate:
     def simulate_input(self, tmp_path, m=60, n=100):

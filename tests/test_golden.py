@@ -57,10 +57,6 @@ GOLDEN = {
         "20796d9cc7dd9d8b87c926f8d8b12220e0df14085568673f08c3845448476b82",
     "sde.cor-sde.levy":
         "24a71462c92879cc16c1c388457e69d33a336e1f99d7576e74b660f7cd31d2d5",
-    "sde.cor-sde.fine4.sde":
-        "29f177a8868b522066bdfa888021c311f78eb6b93437f575766545b966610f3c",
-    "sde.cor-sde.fine4.levy":
-        "a7ce9f51078146faf5aa1c27416f3172ab139c49d42d641b5f7c6400ffe6b236",
     "sde.cor-sde.two-blocks.sde":
         "e790af76777a296b890508f6ba97b637d44a6a44d02f74a2914b3d33200a7e21",
     "sde.cor-sde.two-blocks.levy":
@@ -120,7 +116,6 @@ def _statistic_digests() -> dict:
     }
     for key, kwargs in (
         ("sde.cor-sde", dict(n=300, m=7, seed=5)),
-        ("sde.cor-sde.fine4", dict(n=100, m=5, seed=8, x0=0.25, fine_multiplier=4)),
         ("sde.cor-sde.two-blocks", dict(n=10_000, m=203, seed=9)),
     ):
         v_sde, v_levy = sde_statistic_pairs(sde, cos, 1.5, **kwargs)

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp, kstest, levy_stable, norm
 
 from stablevar.path_sim import (
     DriftSpec,
     PathSample,
+    euler,
     levy_increments,
     simulate_levy,
     simulate_sde_batch,
@@ -91,16 +94,12 @@ class TestLevyIncrements:
         np.testing.assert_allclose(stat[0], terminal_pvariation(path.increments(), p), rtol=1e-12)
 
     def test_alpha_one_skewed_sde_pairs_levy_side_matches_path(self):
-        # the Levy side of the pairs row-sums the fine increments, so it matches
-        # simulate_levy on the fine grid observed on the coarse one
-        n, p, mult, m = 50, 1.5, 4, 3
-        _, v_levy = sde_statistic_pairs(
-            P1_SKEWED, DriftSpec("zero"), p, n, m, seed=6, fine_multiplier=mult
-        )
+        # the Levy side of the pairs takes the grid increments that
+        # simulate_levy sums into its path
+        n, p, m = 50, 1.5, 3
+        _, v_levy = sde_statistic_pairs(P1_SKEWED, DriftSpec("zero"), p, n, m, seed=6)
         expected = [
-            terminal_pvariation(
-                np.diff(simulate_levy(P1_SKEWED, n * mult, 1.0, RandomStream(6, i)).values[::mult]), p
-            )
+            terminal_pvariation(simulate_levy(P1_SKEWED, n, 1.0, RandomStream(6, i)).increments(), p)
             for i in range(m)
         ]
         np.testing.assert_allclose(v_levy, expected, rtol=1e-12)
@@ -108,21 +107,25 @@ class TestLevyIncrements:
 
 class TestSimulateSde:
     def test_zero_drift_bitwise_reduction(self):
+        # with f = 0 the Euler levels are the Levy path's cumulative sums, so
+        # the coarse-grid increments are the same differences
         stream = RandomStream(5)
         sde = simulate_sde_batch(0.0, DriftSpec("zero"), P075, 1600, 100, 1.0, [stream])[0]
         levy = simulate_levy(P075, 1600, 1.0, stream).values[::16]
-        np.testing.assert_array_equal(sde, levy)
+        np.testing.assert_array_equal(sde, np.diff(levy))
 
     def test_rejects_incompatible_grids(self):
         with pytest.raises(ValueError):
             simulate_sde_batch(0.0, DriftSpec("zero"), P075, 150, 100, 1.0, [RandomStream(6)])
 
     def test_bounded_drift_pointwise_bound(self):
-        # |f| <= 1 for f = cos implies |X - (x0 + L)| <= T on the grid
+        # |f| <= 1 for f = cos implies |X_t - (x0 + L_t)| <= t on the grid,
+        # X_t being x0 plus the partial sums of the increments
         stream = RandomStream(7)
         sde = simulate_sde_batch(1.0, DriftSpec("cosine"), P075, 800, 100, 2.0, [stream])[0]
-        levy = simulate_levy(P075, 800, 2.0, stream).values[::8]
-        assert np.max(np.abs(sde - (1.0 + levy))) <= 2.0 + 1e-12
+        levy = simulate_levy(P075, 800, 2.0, stream).values[8::8]
+        t = np.arange(1, 201) / 100
+        assert np.all(np.abs((1.0 + np.cumsum(sde)) - (1.0 + levy)) <= t + 1e-12)
 
     def test_batch_matches_scalar_path(self):
         streams = [RandomStream(8, i) for i in range(3)]
@@ -132,12 +135,51 @@ class TestSimulateSde:
             np.testing.assert_allclose(batch[i], single, rtol=1e-12, atol=1e-12)
 
     def test_refinement_consistency_in_law(self):
-        # doubling the fine grid leaves the coarse-grid terminal law unchanged
+        # doubling the fine grid leaves the law of the terminal value
+        # X_1 = x0 + sum of the increments unchanged (x0 = 0)
         streams_a = [RandomStream(9, i) for i in range(1000)]
         streams_b = [RandomStream(10, i) for i in range(1000)]
         a = simulate_sde_batch(0.0, DriftSpec("cosine"), P075, 400, 100, 1.0, streams_a)
         b = simulate_sde_batch(0.0, DriftSpec("cosine"), P075, 800, 100, 1.0, streams_b)
-        assert ks_2samp(a[:, -1], b[:, -1]).pvalue > 0.01
+        assert ks_2samp(a.sum(axis=1), b.sum(axis=1)).pvalue > 0.01
+
+
+def reference_levels(x0, drift, dL, n_fine, n_obs):
+    """The Euler levels on the observation grid, X_0 = x0 included, written
+    as a plain loop that keeps every level."""
+    step = n_fine // n_obs
+    x = np.full(dL.shape[0], x0)
+    levels = [x]
+    for k in range(dL.shape[1]):
+        f = np.cos(x) if drift.kind == "cosine" else np.zeros_like(x)
+        x = x + f * (1.0 / n_fine) + dL[:, k]
+        if (k + 1) % step == 0:
+            levels.append(x)
+    return np.stack(levels, axis=1)
+
+
+class TestEuler:
+    # deterministic: derandomized examples, so no false-failure rate
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(["zero", "cosine"]),
+        st.floats(-10.0, 10.0),
+        st.integers(0, 4),
+        st.integers(1, 12),
+        st.integers(1, 4),
+        st.floats(0.05, 3.0).filter(lambda T: T != int(T)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_increments_are_differences_of_levels(self, kind, x0, m, n_obs, step, T, seed):
+        # each observed increment subtracts the same two levels as np.diff,
+        # so the two agree bit for bit, a trailing partial step included
+        n_fine = n_obs * step
+        k_max = int(math.floor(n_fine * T))
+        dL = np.random.default_rng(seed).standard_cauchy((m, k_max)) / n_fine
+        drift = DriftSpec(kind)
+        got = euler(x0, drift, dL, n_fine, n_obs)
+        assert got.shape == (m, k_max // step)
+        np.testing.assert_array_equal(got, np.diff(reference_levels(x0, drift, dL, n_fine, n_obs)))
 
 
 class TestAddPerturbation:

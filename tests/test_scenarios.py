@@ -25,10 +25,8 @@ CASES = {
     "levy-offset": lambda: levy_statistic_sample(P15, 1.0, 60, M, seed=3, stream_offset=M),
     "levy-compensated": lambda: levy_statistic_sample(P15, 1.0, 60, M, seed=3, compensate=True),
     "sde": lambda: sde_statistic_pairs(P075, COS, 1.5, 60, M, seed=4),
-    "sde-fine4": lambda: sde_statistic_pairs(P075, COS, 1.5, 15, M, seed=4, x0=0.25,
-                                            fine_multiplier=4),
 }
-N_FINE = 60  # every case draws 60 fine increments per stream
+N = 60  # every case draws 60 increments per stream
 
 
 @pytest.fixture
@@ -49,7 +47,7 @@ class TestBlockPartition:
                                                   name, workers):
         expected = CASES[name]()
         # five rows' worth: blocks of 5, 2 and 1 streams, run 1-3 at a time
-        monkeypatch.setattr(scenarios, "BLOCK_VALUES", 5 * N_FINE)
+        monkeypatch.setattr(scenarios, "BLOCK_VALUES", 5 * N)
         monkeypatch.setattr(scenarios, "MIN_ROWS", 1)
         monkeypatch.setattr(scenarios, "_workers", lambda: workers)
         got = CASES[name]()
@@ -58,7 +56,7 @@ class TestBlockPartition:
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_block_exception_reaches_caller(self, monkeypatch, workers):
-        monkeypatch.setattr(scenarios, "BLOCK_VALUES", 2 * N_FINE)
+        monkeypatch.setattr(scenarios, "BLOCK_VALUES", 2 * N)
         monkeypatch.setattr(scenarios, "MIN_ROWS", 1)
         monkeypatch.setattr(scenarios, "_workers", lambda: workers)
         with pytest.raises(ValueError, match="p must be positive"):
@@ -70,10 +68,10 @@ class TestBlockPartition:
 class TestBlockMemory:
     @pytest.mark.parametrize("rows_worth", [1, 4, 7])
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize("fine_multiplier", [1, 4])
+    @pytest.mark.parametrize("multiple", [1, 4])  # streams of 15 or 60 steps
     def test_threads_together_hold_block_values(self, monkeypatch, rows_worth, workers,
-                                                fine_multiplier):
-        n_fine = 15 * fine_multiplier
+                                                multiple):
+        n = 15 * multiple
         calls = []
         draw = scenarios.levy_increments
 
@@ -82,27 +80,26 @@ class TestBlockMemory:
             return draw(params, n, streams, *args, **kwargs)
 
         monkeypatch.setattr(scenarios, "levy_increments", spy)
-        monkeypatch.setattr(scenarios, "BLOCK_VALUES", rows_worth * n_fine)
+        monkeypatch.setattr(scenarios, "BLOCK_VALUES", rows_worth * n)
         monkeypatch.setattr(scenarios, "MIN_ROWS", 1)
         monkeypatch.setattr(scenarios, "_workers", lambda: workers)
         for statistic in (
-            lambda: sde_statistic_pairs(P075, COS, 1.5, 15, M, seed=4,
-                                        fine_multiplier=fine_multiplier),
-            lambda: levy_statistic_sample(P15, 1.0, n_fine, M, seed=3),
+            lambda: sde_statistic_pairs(P075, COS, 1.5, n, M, seed=4),
+            lambda: levy_statistic_sample(P15, 1.0, n, M, seed=3),
         ):
             calls.clear()
             statistic()
             # each stream is drawn exactly once
             assert sorted(i for _, idx in calls for i in idx) == list(range(M))
-            for n, idx in calls:
-                assert n == n_fine
-                if n_fine * workers <= scenarios.BLOCK_VALUES:
-                    assert len(idx) * n_fine * workers <= scenarios.BLOCK_VALUES
+            for n_drawn, idx in calls:
+                assert n_drawn == n
+                if n * workers <= scenarios.BLOCK_VALUES:
+                    assert len(idx) * n * workers <= scenarios.BLOCK_VALUES
                 else:
                     assert len(idx) == 1
 
 
-def record_blocks(monkeypatch, m, n_fine):
+def record_blocks(monkeypatch, m, n):
     """Run _map_blocks with a fill that only records its blocks; return the
     pool size and the block sizes."""
     pools, sizes = [], []
@@ -113,27 +110,27 @@ def record_blocks(monkeypatch, m, n_fine):
         return pool(max_workers=max_workers)
 
     monkeypatch.setattr(scenarios, "ThreadPoolExecutor", spy)
-    scenarios._map_blocks(m, n_fine, lambda lo, hi: sizes.append((lo, hi - lo)))
+    scenarios._map_blocks(m, n, lambda lo, hi: sizes.append((lo, hi - lo)))
     (threads,) = pools
     return threads, [size for _, size in sorted(sizes)]
 
 
 class TestBlockFloor:
-    # path_sim.euler pays a fixed cost per block and fine step under the
+    # path_sim.euler pays a fixed cost per block and step under the
     # interpreter lock, so many cores must not shrink the blocks without end
 
     @pytest.mark.parametrize("rows_worth", [2, 8, 20])
     @pytest.mark.parametrize("workers", [1, 4, 16, 200])
     def test_blocks_keep_min_rows(self, monkeypatch, rows_worth, workers):
-        n_fine, m = 15, 40
+        n, m = 15, 40
         monkeypatch.setattr(scenarios, "MIN_ROWS", 3)
-        monkeypatch.setattr(scenarios, "BLOCK_VALUES", rows_worth * n_fine)
+        monkeypatch.setattr(scenarios, "BLOCK_VALUES", rows_worth * n)
         monkeypatch.setattr(scenarios, "_workers", lambda: workers)
-        threads, sizes = record_blocks(monkeypatch, m, n_fine)
+        threads, sizes = record_blocks(monkeypatch, m, n)
         assert 1 <= threads <= workers
         assert sum(sizes) == m
         for size in sizes:
-            assert size * n_fine * threads <= scenarios.BLOCK_VALUES
+            assert size * n * threads <= scenarios.BLOCK_VALUES
         # every block but the last holds MIN_ROWS streams, unless
         # BLOCK_VALUES holds fewer
         for size in sizes[:-1]:
@@ -163,3 +160,25 @@ class TestRunScenarioSizes:
     def test_smallest_sizes_run(self):
         report = run_scenario("thm1-sub", m=5, n=1)
         assert report.threshold < 1.0
+
+
+class TestStatisticSizes:
+    @pytest.mark.parametrize("n, m, match", [
+        (0, 5, "n must be >= 1"), (-2, 5, "n must be >= 1"), (0, -1, "n must be >= 1"),
+        (60, -1, "m must be >= 0"),
+    ])
+    def test_bad_sizes_rejected_before_drawing(self, monkeypatch, n, m, match):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a stream was drawn")
+
+        monkeypatch.setattr(scenarios, "levy_increments", no_draws)
+        monkeypatch.setattr(scenarios, "_map_blocks", no_draws)
+        with pytest.raises(ValueError, match=match):
+            levy_statistic_sample(P15, 1.0, n, m, seed=3, compensate=True, perturbation=math.sin)
+        with pytest.raises(ValueError, match=match):
+            sde_statistic_pairs(P075, COS, 1.5, n, m, seed=4)
+
+    def test_no_streams_give_empty_samples(self):
+        assert levy_statistic_sample(P15, 1.0, 60, 0, seed=3, compensate=True).shape == (0,)
+        for v in sde_statistic_pairs(P075, COS, 1.5, 60, 0, seed=4):
+            assert v.shape == (0,)
