@@ -90,6 +90,8 @@ def cmd_simulate(args) -> int:
             raise ValueError(
                 "--m, --n and --fine-multiplier must be >= 1 and n*T finite and >= 1, got m="
                 f"{args.m}, n={args.n}, fine multiplier={args.fine_multiplier}, T={args.T!r}")
+        if not math.isfinite(args.x0):
+            raise ValueError(f"--x0 must be finite, got {args.x0!r}")
     except ValueError as exc:
         print(f"infeasible simulation: {exc}", file=sys.stderr)
         return EXIT_GRID

@@ -1,5 +1,5 @@
 """Limit objects of the p-variation convergence: the limiting stable law
-S_{alpha/p}(C', 1, 0) with its scale transfer C' = C'(C, alpha, p), and the
+S_{alpha/p}(C', beta', 0) with its scale transfer C' = C'(C, alpha, p), and the
 half-stable subordinator reference law."""
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ import math
 import numpy as np
 from scipy.special import erfc, gamma as gamma_fn
 
-from stablevar.stable_law import RandomStream, StableParams, sample_stable
+from stablevar.stable_law import ALPHA_ONE_TOL, RandomStream, StableParams, sample_stable
 
 
 def _cos_gamma(z: float) -> float:
@@ -24,8 +24,8 @@ def _cos_gamma(z: float) -> float:
 
 
 def limit_scale(params: StableParams, p: float) -> StableParams:
-    """The limiting law S_{alpha/p}(C', 1, 0) of the (compensated) terminal
-    p-variation, whose scale is
+    """The limiting law S_{alpha/p}(C', beta', 0) of the (compensated)
+    terminal p-variation, totally skewed to the right, whose scale is
 
         C' = C^p ( cos(pi alpha / 2p) Gamma(1 - alpha/p)
                    / (cos(pi alpha / 2) Gamma(1 - alpha)) )^{p/alpha}.
@@ -33,14 +33,20 @@ def limit_scale(params: StableParams, p: float) -> StableParams:
     The removable singularities at alpha = 1 and alpha/p = 1 go through the
     regularized composite, so C' is continuous as alpha/p crosses 1, and
     p == alpha gives the value both one-sided limits approach. That value is
-    C only at alpha = 1: it is the scale the tail of |L_1|^alpha calls for."""
+    C only at alpha = 1: it is the scale the tail of |L_1|^alpha calls for.
+
+    beta' = 1, except at alpha/p = 1 (within ALPHA_ONE_TOL), where it is -1:
+    the statistic's heavy tail is on the right, and in this module's alpha = 1
+    form -C|lam|(1 - i beta (2/pi) sgn(lam) log|lam|) the law with beta = 1
+    has its heavy tail on the left (it is scipy's beta = -1 in S1)."""
     a, c = params.alpha, params.scale_C
     if p <= a / 2.0:
         raise ValueError(f"limit_scale requires p > alpha/2, got p={p}, alpha={a}")
     if a >= 2.0:
         raise ValueError("limit_scale is undefined at the Gaussian boundary alpha=2")
     ratio = _cos_gamma(a / p) / _cos_gamma(a)
-    return StableParams(a / p, c**p * ratio ** (p / a), 1.0)
+    beta = -1.0 if abs(a / p - 1.0) < ALPHA_ONE_TOL else 1.0
+    return StableParams(a / p, c**p * ratio ** (p / a), beta)
 
 
 def ref_cdf_half_stable(c_prime, x) -> float | np.ndarray:

@@ -4,6 +4,7 @@ the limiting stable law with a two-sample KS test."""
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -84,6 +85,43 @@ def _check_stream_sizes(n: int, m: int) -> None:
         raise ValueError(f"m must be >= 0, got m={m}")
 
 
+def _stream_statistics(
+    params: StableParams,
+    n: int,
+    m: int,
+    seed: int,
+    columns: tuple[tuple[float, bool], ...],
+    perturbation=None,
+    stream_offset: int = 0,
+) -> np.ndarray:
+    """Draw streams stream_offset .. stream_offset + m - 1 of n grid
+    increments dL each, block by block, and return one row of m values per
+    (p, shifted) column: sum |dL|^p, or sum |dL + dY|^p when shifted, where
+    dY holds the increments of the callable perturbation t -> Y_t on the
+    grid. The shifted columns come last: dY is added in place before the
+    first of them. Raises ValueError, before drawing, unless n >= 1 and
+    m >= 0."""
+    _check_stream_sizes(n, m)
+    dY = None
+    if perturbation is not None:
+        t = np.arange(n + 1) / n
+        dY = np.diff(np.asarray([perturbation(tt) for tt in t], dtype=float))
+    out = np.empty((len(columns), m))
+
+    def fill(lo, hi):
+        streams = [RandomStream(seed, stream_offset + i) for i in range(lo, hi)]
+        dL = levy_increments(params, n, streams)
+        shifted = False
+        for k, (p, shift) in enumerate(columns):
+            if shift and not shifted:
+                dL += dY
+                shifted = True
+            out[k, lo:hi] = terminal_pvariation(dL, p)
+
+    _map_blocks(m, n, fill)
+    return out
+
+
 def levy_statistic_sample(
     params: StableParams,
     p: float,
@@ -97,23 +135,26 @@ def levy_statistic_sample(
     """m values of V_p^n(L)_1 (optionally compensated by n B_n(alpha, p)),
     one per independent stream; perturbation, if given, is a callable t -> Y_t
     added to each path before taking increments."""
-    _check_stream_sizes(n, m)
-    dY = None
-    if perturbation is not None:
-        t = np.arange(n + 1) / n
-        dY = np.diff(np.asarray([perturbation(tt) for tt in t], dtype=float))
-    out = np.empty(m)
-
-    def fill(lo, hi):
-        streams = [RandomStream(seed, stream_offset + i) for i in range(lo, hi)]
-        dL = levy_increments(params, n, streams)
-        if dY is not None:
-            dL += dY
-        out[lo:hi] = terminal_pvariation(dL, p)
-
-    _map_blocks(m, n, fill)
+    (out,) = _stream_statistics(
+        params, n, m, seed, ((p, perturbation is not None),), perturbation, stream_offset
+    )
     if compensate:
         out -= n * compensator(params, p, n)
+    return out
+
+
+@functools.lru_cache(maxsize=1)
+def _theorem_sample(seed: int, m: int, n: int) -> np.ndarray:
+    """The sample that thm1-sub, thm1-comp and thm3-lipschitz read, drawn
+    once: streams 0 .. m - 1 of n grid increments dL of S_1.5(1, 0, 0), and
+    the read-only rows sum |dL|^2, sum |dL| and sum |dL + dY|, where dY holds
+    the increments of Y = sin on the grid. Each row equals the uncompensated
+    levy_statistic_sample with the same arguments, bit for bit."""
+    out = _stream_statistics(
+        StableParams(1.5, 1.0, 0.0), n, m, seed, ((2.0, False), (1.0, False), (1.0, True)),
+        math.sin,
+    )
+    out.flags.writeable = False
     return out
 
 
@@ -129,8 +170,12 @@ def sde_statistic_pairs(
 
     def fill(lo, hi):
         dL = levy_increments(params, n, [RandomStream(seed, i) for i in range(lo, hi)])
-        v_sde[lo:hi] = terminal_pvariation(euler(0.0, drift, dL, n, n), p)
         v_levy[lo:hi] = terminal_pvariation(dL, p)
+        # dL is dropped before the |x|^p buffer of dX is made, so a block
+        # holds two arrays of its size at a time, not three
+        dX = euler(0.0, drift, dL, n, n)
+        del dL
+        v_sde[lo:hi] = terminal_pvariation(dX, p)
 
     _map_blocks(m, n, fill)
     return v_sde, v_levy
@@ -169,22 +214,22 @@ def run_scenario(name: str, seed: int = 1, m: int = 2000, n: int = 10000) -> Sce
         raise KeyError(name)
     check_sizes(m, n)
     thr = ks_threshold(m)
+    # thm1-sub, thm1-comp and thm3-lipschitz read one sample of the same
+    # streams 0 .. m - 1, drawn once
     if name == "thm1-sub":
         # p > alpha: no compensation, subordinator limit
         params, p = StableParams(1.5, 1.0, 0.0), 2.0
-        stats = levy_statistic_sample(params, p, n, m, seed)
+        stats = _theorem_sample(seed, m, n)[0]
         ref = sample_limit(params, p, RandomStream(seed, m), size=m)
     elif name == "thm1-comp":
         # alpha/2 < p < alpha: compensated statistic
         params, p = StableParams(1.5, 1.0, 0.0), 1.0
-        stats = levy_statistic_sample(params, p, n, m, seed, compensate=True)
+        stats = _theorem_sample(seed, m, n)[1] - n * compensator(params, p, n)
         ref = sample_limit(params, p, RandomStream(seed, m), size=m)
     elif name == "thm3-lipschitz":
         # Lipschitz perturbation Y_t = sin(t) leaves the limit unchanged
         params, p = StableParams(1.5, 1.0, 0.0), 1.0
-        stats = levy_statistic_sample(
-            params, p, n, m, seed, compensate=True, perturbation=math.sin
-        )
+        stats = _theorem_sample(seed, m, n)[2] - n * compensator(params, p, n)
         ref = levy_statistic_sample(
             params, p, n, m, seed, compensate=True, stream_offset=m
         )

@@ -91,6 +91,7 @@ class TestSimulate:
         ["--m", "0"], ["--m", "-3"], ["--n", "0"], ["--fine-multiplier", "0"],
         ["--T", "0"], ["--T", "0.01"], ["--T", "-1"], ["--T", "nan"], ["--T", "inf"],
         ["--alpha", "2.5"], ["--scale", "0"], ["--beta", "1.5"],
+        ["--x0", "nan"], ["--x0", "inf"], ["--x0=-inf"],
     ], ids=" ".join)
     def test_infeasible_arguments_exit_4(self, tmp_path, capsys, bad):
         # n*T = 20 * 0.01 < 1 leaves no whole increment to write

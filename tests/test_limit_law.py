@@ -9,6 +9,7 @@ from scipy import integrate
 from scipy.stats import kstest
 
 from stablevar.limit_law import limit_scale, ref_cdf_half_stable, sample_limit
+from stablevar.scenarios import ks_threshold, levy_statistic_sample, two_sample_ks
 from stablevar.stable_law import RandomStream, StableParams
 
 
@@ -129,6 +130,20 @@ class TestSampleLimit:
         draws = sample_limit(params, p, RandomStream(2), size=100_000)
         res = kstest(draws, lambda v: ref_cdf_half_stable(limit_scale(params, p).scale_C, v))
         assert res.pvalue > 0.01
+
+    @pytest.mark.parametrize("alpha", [0.75, 1.5])
+    def test_law_at_p_equal_alpha(self, alpha):
+        # At p = alpha the compensated statistic has its heavy tail on the
+        # right, so the 1-stable limit takes beta = -1 in this package's
+        # alpha = 1 form; with beta = 1 it is mirrored and D is about 0.3.
+        # Two independent samples of 2000 under the null exceed
+        # ks_threshold (coefficient 1.52) with probability about 0.02; the
+        # seeds are fixed, so the outcome is deterministic.
+        params, m = StableParams(alpha, 1.0, 0.0), 2000
+        stats = levy_statistic_sample(params, alpha, 1000, m, seed=1, compensate=True)
+        ref = sample_limit(params, alpha, RandomStream(1, m), size=m)
+        assert two_sample_ks(stats, ref) < ks_threshold(m)
+        assert limit_scale(params, alpha).beta == -1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):

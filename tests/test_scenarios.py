@@ -4,6 +4,7 @@ false-failure rate."""
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,8 +26,24 @@ CASES = {
     "levy-offset": lambda: levy_statistic_sample(P15, 1.0, 60, M, seed=3, stream_offset=M),
     "levy-compensated": lambda: levy_statistic_sample(P15, 1.0, 60, M, seed=3, compensate=True),
     "sde": lambda: sde_statistic_pairs(P075, COS, 1.5, 60, M, seed=4),
+    "theorem-sample": lambda: fresh_theorem_sample(3, M, 60),
 }
 N = 60  # every case draws 60 increments per stream
+
+
+def fresh_theorem_sample(seed, m, n):
+    """_theorem_sample drawn anew, not read from its cache."""
+    scenarios._theorem_sample.cache_clear()
+    return scenarios._theorem_sample(seed, m, n)
+
+
+@pytest.fixture(autouse=True)
+def clear_theorem_sample():
+    # a sample cached by an earlier test would hide the draws a test
+    # monkeypatches or counts
+    scenarios._theorem_sample.cache_clear()
+    yield
+    scenarios._theorem_sample.cache_clear()
 
 
 @pytest.fixture
@@ -97,6 +114,67 @@ class TestBlockMemory:
                     assert len(idx) * n * workers <= scenarios.BLOCK_VALUES
                 else:
                     assert len(idx) == 1
+
+
+class TestTheoremSample:
+    # thm1-sub, thm1-comp and thm3-lipschitz read one sample of the
+    # S_1.5(1, 0, 0) streams 0 .. m - 1
+
+    @pytest.mark.parametrize("seed, m, n", [(5, 7, 300), (6, 203, 10_000)])
+    def test_rows_equal_the_statistic_samples(self, seed, m, n):
+        v2, v1, v1_sin = scenarios._theorem_sample(seed, m, n)
+        shift = n * scenarios.compensator(P15, 1.0, n)
+        np.testing.assert_array_equal(v2, levy_statistic_sample(P15, 2.0, n, m, seed))
+        np.testing.assert_array_equal(
+            v1 - shift, levy_statistic_sample(P15, 1.0, n, m, seed, compensate=True))
+        np.testing.assert_array_equal(
+            v1_sin - shift,
+            levy_statistic_sample(P15, 1.0, n, m, seed, compensate=True, perturbation=math.sin))
+
+    def test_three_scenarios_draw_each_stream_once(self, monkeypatch):
+        drawn = []
+        draw = scenarios.levy_increments
+
+        def spy(params, n, streams, *args, **kwargs):
+            drawn.extend(s.stream_index for s in streams)
+            return draw(params, n, streams, *args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "levy_increments", spy)
+        for name in ("thm1-sub", "thm1-comp", "thm3-lipschitz"):
+            run_scenario(name, seed=3, m=M, n=N)
+        # the shared sample's streams 0 .. M - 1 and the thm3-lipschitz
+        # reference's M .. 2M - 1
+        assert sorted(drawn) == list(range(2 * M))
+
+    def test_rows_are_read_only(self):
+        sample = scenarios._theorem_sample(3, M, N)
+        assert sample.shape == (3, M)
+        for row in (sample, *sample):
+            assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            sample[0, 0] = 0.0
+
+
+class TestBlockPeak:
+    @pytest.mark.parametrize("statistic", [
+        lambda m, n: sde_statistic_pairs(P075, COS, 1.5, n, m, seed=4),
+        lambda m, n: levy_statistic_sample(P15, 1.0, n, m, seed=3, perturbation=math.sin),
+        lambda m, n: scenarios._theorem_sample(3, m, n),
+    ], ids=["sde", "levy-perturbed", "theorem-sample"])
+    def test_block_holds_two_arrays_of_its_size(self, monkeypatch, statistic):
+        # one block on one thread holds its increments and one array of the
+        # same size at a time (the |x|^p buffer, or the Euler increments),
+        # plus per-row scratch
+        m, n = 40, 2000
+        monkeypatch.setattr(scenarios, "BLOCK_VALUES", m * n)
+        monkeypatch.setattr(scenarios, "_workers", lambda: 1)
+        tracemalloc.start()
+        try:
+            statistic(m, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * m * n * 8
 
 
 def record_blocks(monkeypatch, m, n):
