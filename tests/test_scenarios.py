@@ -10,9 +10,15 @@ import numpy as np
 import pytest
 
 from stablevar import scenarios
+from stablevar.limit_law import sample_limit
 from stablevar.path_sim import DriftSpec
-from stablevar.scenarios import levy_statistic_sample, run_scenario, sde_statistic_pairs
-from stablevar.stable_law import StableParams
+from stablevar.scenarios import (
+    levy_statistic_sample,
+    run_scenario,
+    sde_statistic_pairs,
+    two_sample_ks,
+)
+from stablevar.stable_law import RandomStream, StableParams
 
 P15 = StableParams(1.5, 1.0)
 P075 = StableParams(0.75, 6.35)
@@ -26,7 +32,7 @@ CASES = {
     "levy-offset": lambda: levy_statistic_sample(P15, 1.0, 60, M, seed=3, stream_offset=M),
     "levy-compensated": lambda: levy_statistic_sample(P15, 1.0, 60, M, seed=3, compensate=True),
     "sde": lambda: sde_statistic_pairs(P075, COS, 1.5, 60, M, seed=4),
-    "theorem-sample": lambda: fresh_theorem_sample(3, M, 60),
+    "theorem-sample": lambda: np.array(list(fresh_theorem_sample(3, M, 60).values())),
 }
 N = 60  # every case draws 60 increments per stream
 
@@ -122,14 +128,35 @@ class TestTheoremSample:
 
     @pytest.mark.parametrize("seed, m, n", [(5, 7, 300), (6, 203, 10_000)])
     def test_rows_equal_the_statistic_samples(self, seed, m, n):
-        v2, v1, v1_sin = scenarios._theorem_sample(seed, m, n)
+        # the statistics the three scenarios drew each on their own
+        sample = scenarios._theorem_sample(seed, m, n)
+        assert set(sample) == {"thm1-sub", "thm1-comp", "thm3-lipschitz"}
         shift = n * scenarios.compensator(P15, 1.0, n)
-        np.testing.assert_array_equal(v2, levy_statistic_sample(P15, 2.0, n, m, seed))
         np.testing.assert_array_equal(
-            v1 - shift, levy_statistic_sample(P15, 1.0, n, m, seed, compensate=True))
+            sample["thm1-sub"], levy_statistic_sample(P15, 2.0, n, m, seed))
         np.testing.assert_array_equal(
-            v1_sin - shift,
+            sample["thm1-comp"] - shift,
+            levy_statistic_sample(P15, 1.0, n, m, seed, compensate=True))
+        np.testing.assert_array_equal(
+            sample["thm3-lipschitz"] - shift,
             levy_statistic_sample(P15, 1.0, n, m, seed, compensate=True, perturbation=math.sin))
+
+    def test_statistics_follow_the_scenario_definitions(self):
+        # each scenario written out on its own: its p, compensation, path
+        # and reference sample
+        seed, m, n = 4, 101, 300
+        limit = lambda p: sample_limit(P15, p, RandomStream(seed, m), size=m)
+        expected = {
+            "thm1-sub": two_sample_ks(levy_statistic_sample(P15, 2.0, n, m, seed), limit(2.0)),
+            "thm1-comp": two_sample_ks(
+                levy_statistic_sample(P15, 1.0, n, m, seed, compensate=True), limit(1.0)),
+            "thm3-lipschitz": two_sample_ks(
+                levy_statistic_sample(
+                    P15, 1.0, n, m, seed, compensate=True, perturbation=math.sin),
+                levy_statistic_sample(P15, 1.0, n, m, seed, compensate=True, stream_offset=m)),
+        }
+        for name, statistic in expected.items():
+            assert run_scenario(name, seed=seed, m=m, n=n).statistic == statistic
 
     def test_three_scenarios_draw_each_stream_once(self, monkeypatch):
         drawn = []
@@ -148,11 +175,13 @@ class TestTheoremSample:
 
     def test_rows_are_read_only(self):
         sample = scenarios._theorem_sample(3, M, N)
-        assert sample.shape == (3, M)
-        for row in (sample, *sample):
+        for row in sample.values():
+            assert row.shape == (M,)
             assert not row.flags.writeable
         with pytest.raises(ValueError):
-            sample[0, 0] = 0.0
+            sample["thm1-sub"][0] = 0.0
+        with pytest.raises(TypeError):
+            sample["thm1-sub"] = np.zeros(M)
 
 
 class TestBlockPeak:
