@@ -86,22 +86,21 @@ def _check_stream_sizes(n: int, m: int) -> None:
         raise ValueError(f"m must be >= 0, got m={m}")
 
 
-def _stream_statistics(
+def levy_statistic_sample(
     params: StableParams,
     n: int,
     m: int,
     seed: int,
     ps: tuple[float, ...],
-    shifted_ps: tuple[float, ...],
+    shifted_ps: tuple[float, ...] = (),
     perturbation=None,
-    stream_offset: int = 0,
 ) -> np.ndarray:
-    """Draw streams stream_offset .. stream_offset + m - 1 of n grid
-    increments dL each, block by block, and return one row of m values per
-    exponent: sum |dL|^p for each p in ps, then sum |dL + dY|^p for each p
-    in shifted_ps, where dY holds the increments of the callable
-    perturbation t -> Y_t on the grid. Raises ValueError, before drawing,
-    unless n >= 1 and m >= 0."""
+    """Draw streams 0 .. m - 1 of n grid increments dL each, block by block,
+    and return one row of m values per exponent: V_p^n(L)_1 = sum |dL|^p for
+    each p in ps, then V_p^n(L + Y)_1 = sum |dL + dY|^p for each p in
+    shifted_ps, where dY holds the increments of the callable perturbation
+    t -> Y_t on the grid. Raises ValueError, before drawing, unless n >= 1
+    and m >= 0."""
     _check_stream_sizes(n, m)
     if shifted_ps:
         t = np.arange(n + 1) / n
@@ -109,8 +108,7 @@ def _stream_statistics(
     out = np.empty((len(ps) + len(shifted_ps), m))
 
     def fill(lo, hi):
-        streams = [RandomStream(seed, stream_offset + i) for i in range(lo, hi)]
-        dL = levy_increments(params, n, streams)
+        dL = levy_increments(params, n, [RandomStream(seed, i) for i in range(lo, hi)])
         for k, p in enumerate(ps):
             out[k, lo:hi] = terminal_pvariation(dL, p)
         if shifted_ps:
@@ -122,57 +120,39 @@ def _stream_statistics(
     return out
 
 
-def levy_statistic_sample(
-    params: StableParams,
-    p: float,
-    n: int,
-    m: int,
-    seed: int,
-    compensate: bool = False,
-    perturbation=None,
-    stream_offset: int = 0,
-) -> np.ndarray:
-    """m values of V_p^n(L)_1 (optionally compensated by n B_n(alpha, p)),
-    one per independent stream; perturbation, if given, is a callable t -> Y_t
-    added to each path before taking increments."""
-    ps, shifted_ps = ((), (p,)) if perturbation is not None else ((p,), ())
-    (out,) = _stream_statistics(params, n, m, seed, ps, shifted_ps, perturbation, stream_offset)
-    if compensate:
-        out -= n * compensator(params, p, n)
-    return out
-
-
 _THEOREM_PARAMS = StableParams(1.5, 1.0, 0.0)
 _THEOREM_SCENARIOS = {
     # name: (p, whether Y_t = sin(t) is added to the path)
     "thm1-sub": (2.0, False),  # p > alpha: subordinator limit
     "thm1-comp": (1.0, False),  # alpha/2 < p < alpha: compensated statistic
-    "thm3-lipschitz": (1.0, True),  # a Lipschitz Y leaves the limit unchanged
+    "thm3-lipschitz": (1.5, True),  # p = alpha: a Lipschitz Y leaves the limit unchanged
 }
-"""The scenarios that read the shared sample of S_1.5(1, 0, 0) streams."""
+"""The scenarios that read the shared sample of S_1.5(1, 0, 0) streams and
+test it against sample_limit."""
 
 
 @functools.lru_cache(maxsize=1)
 def _theorem_sample(seed: int, m: int, n: int) -> MappingProxyType:
     """A read-only mapping from each scenario in _THEOREM_SCENARIOS to its
-    uncompensated statistic, a read-only row computed from one draw of
-    streams 0 .. m - 1 of n grid increments: sum |dL|^p, or sum |dL + dY|^p
-    with dY the increments of Y = sin on the grid. Each row equals
-    levy_statistic_sample with the same arguments, bit for bit. The
-    scenarios draw the streams once instead of once each, but a process that
-    runs only one of them computes every row: two more |x|^p passes and one
-    add per increment, about 2-6% of the wall time of a one-scenario
-    `stablevar verify` at m = 2000, n = 10^4 (2 vCPUs)."""
+    compensated statistic V_p^n - n B_n(alpha, p), a read-only row computed
+    from one draw of streams 0 .. m - 1 of n grid increments: sum |dL|^p, or
+    sum |dL + dY|^p with dY the increments of Y = sin on the grid. B_n is 0
+    for p > alpha, which leaves that row's bits as drawn. The scenarios draw
+    the streams once instead of once each, but a process that runs only one
+    of them computes every row."""
     plain = [name for name, (_, shifted) in _THEOREM_SCENARIOS.items() if not shifted]
     shifted = [name for name, (_, shifted) in _THEOREM_SCENARIOS.items() if shifted]
-    out = _stream_statistics(
+    names = plain + shifted
+    out = levy_statistic_sample(
         _THEOREM_PARAMS, n, m, seed,
         tuple(_THEOREM_SCENARIOS[name][0] for name in plain),
         tuple(_THEOREM_SCENARIOS[name][0] for name in shifted),
         math.sin,
     )
+    for name, row in zip(names, out):
+        row -= n * compensator(_THEOREM_PARAMS, _THEOREM_SCENARIOS[name][0], n)
     out.flags.writeable = False
-    return MappingProxyType(dict(zip(plain + shifted, out)))
+    return MappingProxyType(dict(zip(names, out)))
 
 
 def sde_statistic_pairs(
@@ -232,19 +212,10 @@ def run_scenario(name: str, seed: int = 1, m: int = 2000, n: int = 10000) -> Sce
     check_sizes(m, n)
     thr = ks_threshold(m)
     if name in _THEOREM_SCENARIOS:
-        params, (p, shifted) = _THEOREM_PARAMS, _THEOREM_SCENARIOS[name]
-        # the statistic is centred by the compensator where p <= alpha
-        compensate = p <= params.alpha
+        # Theorems 1 and 3: the compensated statistic against its limit law
+        p, _ = _THEOREM_SCENARIOS[name]
         stats = _theorem_sample(seed, m, n)[name]
-        if compensate:
-            stats = stats - n * compensator(params, p, n)
-        if shifted:
-            # the unperturbed statistic on the next m streams
-            ref = levy_statistic_sample(
-                params, p, n, m, seed, compensate=compensate, stream_offset=m
-            )
-        else:
-            ref = sample_limit(params, p, RandomStream(seed, m), size=m)
+        ref = sample_limit(_THEOREM_PARAMS, p, RandomStream(seed, m), size=m)
     else:
         # cor-sde: cosine-drift SDE vs the pure Levy path from the same streams
         params, p = StableParams(0.75, 6.35, 0.0), 1.5

@@ -25,8 +25,10 @@ import tempfile
 import numpy as np
 import pytest
 
+from stablevar import scenarios
 from stablevar.cli import main, write_series
 from stablevar.path_sim import DriftSpec, simulate_levy
+from stablevar.pvariation import compensator
 from stablevar.scenarios import levy_statistic_sample, sde_statistic_pairs
 from stablevar.stable_law import RandomStream, StableParams
 
@@ -51,8 +53,8 @@ GOLDEN = {
         "024e4d3c3ca94ca55e7fc7304fb97c5af81eb153760350a072d1044b52908ac4",
     "levy.thm3-lipschitz":
         "b48af3fe286f8ed76b751c45c24c6f196aced1c96402cf20845fe82355ef8067",
-    "levy.thm3-lipschitz.offset":
-        "1d19118f8aaac84b91f7595a65ee42d93029bf3be20ace8ed540f6ffaa63da8a",
+    "theorem-sample.thm3-lipschitz":
+        "a4a37f6bd69ac2a4217be8461cb3e3741d6b79d02a56c657149a34e219d440ec",
     "sde.cor-sde.sde":
         "20796d9cc7dd9d8b87c926f8d8b12220e0df14085568673f08c3845448476b82",
     "sde.cor-sde.levy":
@@ -106,13 +108,15 @@ def _statistic_digests() -> dict:
     sde = StableParams(0.75, 6.35, 0.0)
     cos = DriftSpec("cosine")
     out = {
-        "levy.thm1-sub": levy_statistic_sample(sub, 2.0, 300, 7, seed=5),
-        "levy.thm1-sub.two-blocks": levy_statistic_sample(sub, 2.0, 10_000, 203, seed=6),
-        "levy.thm1-comp": levy_statistic_sample(sub, 1.0, 300, 7, seed=5, compensate=True),
-        "levy.thm3-lipschitz": levy_statistic_sample(
-            sub, 1.0, 300, 7, seed=5, compensate=True, perturbation=math.sin),
-        "levy.thm3-lipschitz.offset": levy_statistic_sample(
-            sub, 1.0, 300, 7, seed=5, compensate=True, stream_offset=7),
+        "levy.thm1-sub": levy_statistic_sample(sub, 300, 7, 5, (2.0,)),
+        "levy.thm1-sub.two-blocks": levy_statistic_sample(sub, 10_000, 203, 6, (2.0,)),
+        "levy.thm1-comp":
+            levy_statistic_sample(sub, 300, 7, 5, (1.0,)) - 300 * compensator(sub, 1.0, 300),
+        "levy.thm3-lipschitz": levy_statistic_sample(sub, 300, 7, 5, (), (1.0,), math.sin)
+            - 300 * compensator(sub, 1.0, 300),
+        # compensated by sin_moment, at p = alpha
+        "theorem-sample.thm3-lipschitz":
+            scenarios._theorem_sample(5, 7, 300)["thm3-lipschitz"],
     }
     for key, kwargs in (
         ("sde.cor-sde", dict(n=300, m=7, seed=5)),

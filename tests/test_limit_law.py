@@ -9,6 +9,7 @@ from scipy import integrate
 from scipy.stats import kstest
 
 from stablevar.limit_law import limit_scale, ref_cdf_half_stable, sample_limit
+from stablevar.pvariation import compensator
 from stablevar.scenarios import ks_threshold, levy_statistic_sample, two_sample_ks
 from stablevar.stable_law import RandomStream, StableParams
 
@@ -140,7 +141,8 @@ class TestSampleLimit:
         # ks_threshold (coefficient 1.52) with probability about 0.02; the
         # seeds are fixed, so the outcome is deterministic.
         params, m = StableParams(alpha, 1.0, 0.0), 2000
-        stats = levy_statistic_sample(params, alpha, 1000, m, seed=1, compensate=True)
+        (stats,) = levy_statistic_sample(params, 1000, m, 1, (alpha,))
+        stats -= 1000 * compensator(params, alpha, 1000)
         ref = sample_limit(params, alpha, RandomStream(1, m), size=m)
         assert two_sample_ks(stats, ref) < ks_threshold(m)
         assert limit_scale(params, alpha).beta == -1.0

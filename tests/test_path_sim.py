@@ -14,7 +14,7 @@ from stablevar.path_sim import (
     simulate_levy,
     simulate_sde_batch,
 )
-from stablevar.pvariation import terminal_pvariation
+from stablevar.pvariation import compensator, terminal_pvariation
 from stablevar.scenarios import (
     ks_threshold,
     levy_statistic_sample,
@@ -89,7 +89,7 @@ class TestLevyIncrements:
         # at alpha = 1, beta != 0 the statistic sample and simulate_levy take
         # the same grid increments from levy_increments
         n, p = 100, 1.5
-        stat = levy_statistic_sample(P1_SKEWED, p, n, 1, seed=4)
+        (stat,) = levy_statistic_sample(P1_SKEWED, n, 1, 4, (p,))
         path = simulate_levy(P1_SKEWED, n, 1.0, RandomStream(4, 0))
         np.testing.assert_allclose(stat[0], terminal_pvariation(path.increments(), p), rtol=1e-12)
 
@@ -187,16 +187,16 @@ class TestAddPerturbation:
     deterministic perturbation t -> Y_t to each path's grid increments."""
 
     def test_zero_identity(self):
-        base = levy_statistic_sample(P15, 1.2, 50, 3, seed=11)
-        out = levy_statistic_sample(P15, 1.2, 50, 3, seed=11, perturbation=lambda t: 0.0)
+        base = levy_statistic_sample(P15, 50, 3, 11, (1.2,))
+        out = levy_statistic_sample(P15, 50, 3, 11, (), (1.2,), lambda t: 0.0)
         np.testing.assert_array_equal(out, base)
 
     def test_linear_shifts_increments(self):
         # Y_t = K t adds K/n to every increment, so at p = 2 the statistic
         # grows by 2 (K/n) L_1 + K^2/n, L_1 the sum of the increments
         K, n, m = 2.5, 50, 3
-        base = levy_statistic_sample(P15, 2.0, n, m, seed=12)
-        out = levy_statistic_sample(P15, 2.0, n, m, seed=12, perturbation=lambda t: K * t)
+        (base,) = levy_statistic_sample(P15, n, m, 12, (2.0,))
+        (out,) = levy_statistic_sample(P15, n, m, 12, (), (2.0,), lambda t: K * t)
         l1 = levy_increments(P15, n, [RandomStream(12, i) for i in range(m)]).sum(axis=1)
         np.testing.assert_allclose(out - base, 2.0 * K / n * l1 + K**2 / n,
                                    rtol=1e-9, atol=1e-12 * np.max(base))
@@ -204,10 +204,10 @@ class TestAddPerturbation:
     def test_lipschitz_perturbation_same_limit_law(self):
         # V_p statistics of L and L + sin(t) agree in law (m=500 blocks)
         params, p, n, m = P15, 1.2, 1000, 500
-        base = levy_statistic_sample(params, p, n, m, seed=14, compensate=True)
-        pert = levy_statistic_sample(
-            params, p, n, m, seed=15, compensate=True, perturbation=math.sin
-        )
+        (base,) = levy_statistic_sample(params, n, m, 14, (p,))
+        (pert,) = levy_statistic_sample(params, n, m, 15, (), (p,), math.sin)
+        base -= n * compensator(params, p, n)
+        pert -= n * compensator(params, p, n)
         assert two_sample_ks(base, pert) < ks_threshold(m, coeff=1.63)  # level ~0.01
 
 

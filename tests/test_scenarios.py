@@ -1,7 +1,8 @@
 """The scenario statistics run their stream blocks on a thread pool. These
 tests are deterministic (fixed seeds, exact comparisons), so they have no
-false-failure rate."""
+false-failure rate; TestScenarioPower states its own."""
 
+import dataclasses
 import math
 import sys
 import tracemalloc
@@ -10,15 +11,16 @@ import numpy as np
 import pytest
 
 from stablevar import scenarios
-from stablevar.limit_law import sample_limit
+from stablevar.limit_law import limit_scale, sample_limit
 from stablevar.path_sim import DriftSpec
+from stablevar.pvariation import compensator
 from stablevar.scenarios import (
     levy_statistic_sample,
     run_scenario,
     sde_statistic_pairs,
     two_sample_ks,
 )
-from stablevar.stable_law import RandomStream, StableParams
+from stablevar.stable_law import RandomStream, StableParams, sample_stable
 
 P15 = StableParams(1.5, 1.0)
 P075 = StableParams(0.75, 6.35)
@@ -26,11 +28,11 @@ COS = DriftSpec("cosine")
 M = 13  # prime, so no block size divides it
 
 CASES = {
-    "levy": lambda: levy_statistic_sample(P15, 2.0, 60, M, seed=3),
+    "levy": lambda: levy_statistic_sample(P15, 60, M, 3, (2.0,)),
     "levy-perturbed": lambda: levy_statistic_sample(
-        P15, 1.0, 60, M, seed=3, compensate=True, perturbation=math.sin),
-    "levy-offset": lambda: levy_statistic_sample(P15, 1.0, 60, M, seed=3, stream_offset=M),
-    "levy-compensated": lambda: levy_statistic_sample(P15, 1.0, 60, M, seed=3, compensate=True),
+        P15, 60, M, 3, (), (1.0,), math.sin) - 60 * compensator(P15, 1.0, 60),
+    "levy-compensated": lambda: levy_statistic_sample(
+        P15, 60, M, 3, (1.0,)) - 60 * compensator(P15, 1.0, 60),
     "sde": lambda: sde_statistic_pairs(P075, COS, 1.5, 60, M, seed=4),
     "theorem-sample": lambda: np.array(list(fresh_theorem_sample(3, M, 60).values())),
 }
@@ -83,7 +85,7 @@ class TestBlockPartition:
         monkeypatch.setattr(scenarios, "MIN_ROWS", 1)
         monkeypatch.setattr(scenarios, "_workers", lambda: workers)
         with pytest.raises(ValueError, match="p must be positive"):
-            levy_statistic_sample(P15, 0.0, 60, M, seed=3)
+            levy_statistic_sample(P15, 60, M, 3, (0.0,))
         with pytest.raises(ValueError, match="p must be positive"):
             sde_statistic_pairs(P075, COS, -1.0, 60, M, seed=4)
 
@@ -108,7 +110,7 @@ class TestBlockMemory:
         monkeypatch.setattr(scenarios, "_workers", lambda: workers)
         for statistic in (
             lambda: sde_statistic_pairs(P075, COS, 1.5, n, M, seed=4),
-            lambda: levy_statistic_sample(P15, 1.0, n, M, seed=3),
+            lambda: levy_statistic_sample(P15, n, M, 3, (1.0,)),
         ):
             calls.clear()
             statistic()
@@ -128,32 +130,32 @@ class TestTheoremSample:
 
     @pytest.mark.parametrize("seed, m, n", [(5, 7, 300), (6, 203, 10_000)])
     def test_rows_equal_the_statistic_samples(self, seed, m, n):
-        # the statistics the three scenarios drew each on their own
+        # the compensated statistics the three scenarios drew each on their own
         sample = scenarios._theorem_sample(seed, m, n)
         assert set(sample) == {"thm1-sub", "thm1-comp", "thm3-lipschitz"}
-        shift = n * scenarios.compensator(P15, 1.0, n)
         np.testing.assert_array_equal(
-            sample["thm1-sub"], levy_statistic_sample(P15, 2.0, n, m, seed))
+            sample["thm1-sub"], levy_statistic_sample(P15, n, m, seed, (2.0,))[0])
         np.testing.assert_array_equal(
-            sample["thm1-comp"] - shift,
-            levy_statistic_sample(P15, 1.0, n, m, seed, compensate=True))
+            sample["thm1-comp"],
+            levy_statistic_sample(P15, n, m, seed, (1.0,))[0] - n * compensator(P15, 1.0, n))
         np.testing.assert_array_equal(
-            sample["thm3-lipschitz"] - shift,
-            levy_statistic_sample(P15, 1.0, n, m, seed, compensate=True, perturbation=math.sin))
+            sample["thm3-lipschitz"],
+            levy_statistic_sample(P15, n, m, seed, (), (1.5,), math.sin)[0]
+            - n * compensator(P15, 1.5, n))
 
     def test_statistics_follow_the_scenario_definitions(self):
         # each scenario written out on its own: its p, compensation, path
         # and reference sample
         seed, m, n = 4, 101, 300
         limit = lambda p: sample_limit(P15, p, RandomStream(seed, m), size=m)
+        (sub,) = levy_statistic_sample(P15, n, m, seed, (2.0,))
+        (comp,) = levy_statistic_sample(P15, n, m, seed, (1.0,))
+        (lipschitz,) = levy_statistic_sample(P15, n, m, seed, (), (1.5,), math.sin)
         expected = {
-            "thm1-sub": two_sample_ks(levy_statistic_sample(P15, 2.0, n, m, seed), limit(2.0)),
-            "thm1-comp": two_sample_ks(
-                levy_statistic_sample(P15, 1.0, n, m, seed, compensate=True), limit(1.0)),
+            "thm1-sub": two_sample_ks(sub, limit(2.0)),
+            "thm1-comp": two_sample_ks(comp - n * compensator(P15, 1.0, n), limit(1.0)),
             "thm3-lipschitz": two_sample_ks(
-                levy_statistic_sample(
-                    P15, 1.0, n, m, seed, compensate=True, perturbation=math.sin),
-                levy_statistic_sample(P15, 1.0, n, m, seed, compensate=True, stream_offset=m)),
+                lipschitz - n * compensator(P15, 1.5, n), limit(1.5)),
         }
         for name, statistic in expected.items():
             assert run_scenario(name, seed=seed, m=m, n=n).statistic == statistic
@@ -169,9 +171,8 @@ class TestTheoremSample:
         monkeypatch.setattr(scenarios, "levy_increments", spy)
         for name in ("thm1-sub", "thm1-comp", "thm3-lipschitz"):
             run_scenario(name, seed=3, m=M, n=N)
-        # the shared sample's streams 0 .. M - 1 and the thm3-lipschitz
-        # reference's M .. 2M - 1
-        assert sorted(drawn) == list(range(2 * M))
+        # the shared sample's streams 0 .. M - 1, and nothing else
+        assert sorted(drawn) == list(range(M))
 
     def test_rows_are_read_only(self):
         sample = scenarios._theorem_sample(3, M, N)
@@ -184,10 +185,31 @@ class TestTheoremSample:
             sample["thm1-sub"] = np.zeros(M)
 
 
+class TestScenarioPower:
+    """A known defect must fail a scenario: thm3-lipschitz (p = alpha)
+    against the mirror image of its limit law, beta flipped. At m = 500,
+    n = 1000, seeds 1-3, the true law gave D = 0.040-0.062 and the mirrored
+    one 0.278-0.300, against a threshold of 0.0961. Under the null each case
+    fails its first assertion with probability about 0.02; the seeds are
+    fixed, so the outcome is deterministic."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_mirrored_limit_law_fails(self, monkeypatch, seed):
+        m, n = 500, 1000
+        assert run_scenario("thm3-lipschitz", seed=seed, m=m, n=n).passed
+
+        def mirrored(params, p, stream, size=None):
+            law = limit_scale(params, p)
+            return sample_stable(dataclasses.replace(law, beta=-law.beta), stream, size=size)
+
+        monkeypatch.setattr(scenarios, "sample_limit", mirrored)
+        assert not run_scenario("thm3-lipschitz", seed=seed, m=m, n=n).passed
+
+
 class TestBlockPeak:
     @pytest.mark.parametrize("statistic", [
         lambda m, n: sde_statistic_pairs(P075, COS, 1.5, n, m, seed=4),
-        lambda m, n: levy_statistic_sample(P15, 1.0, n, m, seed=3, perturbation=math.sin),
+        lambda m, n: levy_statistic_sample(P15, n, m, 3, (), (1.0,), math.sin),
         lambda m, n: scenarios._theorem_sample(3, m, n),
     ], ids=["sde", "levy-perturbed", "theorem-sample"])
     def test_block_holds_two_arrays_of_its_size(self, monkeypatch, statistic):
@@ -281,11 +303,12 @@ class TestStatisticSizes:
         monkeypatch.setattr(scenarios, "levy_increments", no_draws)
         monkeypatch.setattr(scenarios, "_map_blocks", no_draws)
         with pytest.raises(ValueError, match=match):
-            levy_statistic_sample(P15, 1.0, n, m, seed=3, compensate=True, perturbation=math.sin)
+            levy_statistic_sample(P15, n, m, 3, (), (1.0,), math.sin)
         with pytest.raises(ValueError, match=match):
             sde_statistic_pairs(P075, COS, 1.5, n, m, seed=4)
 
     def test_no_streams_give_empty_samples(self):
-        assert levy_statistic_sample(P15, 1.0, 60, 0, seed=3, compensate=True).shape == (0,)
+        out = levy_statistic_sample(P15, 60, 0, 3, (1.0,)) - 60 * compensator(P15, 1.0, 60)
+        assert out.shape == (1, 0)
         for v in sde_statistic_pairs(P075, COS, 1.5, 60, 0, seed=4):
             assert v.shape == (0,)
