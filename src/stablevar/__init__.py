@@ -3,10 +3,9 @@ from compensated p-variation statistics."""
 
 from stablevar.stable_law import RandomStream, StableParams, abs_moment, sample_stable, sin_moment
 from stablevar.path_sim import DriftSpec, PathSample, simulate_levy
-from stablevar.pvariation import VariationSeries, compensated_terminal, compensator, pvariation
+from stablevar.pvariation import compensated_terminal, compensator, terminal_pvariation
 from stablevar.limit_law import limit_scale, ref_cdf_half_stable, sample_limit
 from stablevar.estimator import (
-    BlockedSeries,
     EstimationResult,
     KSSurface,
     block_split,
@@ -24,14 +23,12 @@ __all__ = [
     "PathSample",
     "DriftSpec",
     "simulate_levy",
-    "VariationSeries",
-    "pvariation",
+    "terminal_pvariation",
     "compensator",
     "compensated_terminal",
     "limit_scale",
     "ref_cdf_half_stable",
     "sample_limit",
-    "BlockedSeries",
     "KSSurface",
     "EstimationResult",
     "block_split",

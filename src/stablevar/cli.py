@@ -1,8 +1,8 @@
 """Command-line interface: simulate blocks of SDE data, estimate (alpha, C)
 from a series, and run the convergence-test scenarios.
 
-CSV format: a header line '# stablevar v1 <json-config>', then one value per
-line in levels mode or 'index,value' lines in increments mode.
+CSV format: UTF-8 text, a header line '# stablevar v1 <json-object>', then one
+value per line in levels mode or 'index,value' lines in increments mode.
 """
 
 from __future__ import annotations
@@ -35,12 +35,10 @@ class CSVParseError(Exception):
 
 
 def write_series(path: str, values: np.ndarray, config: dict) -> None:
-    mode = config.get("mode", "levels")
-    lines = [MAGIC + json.dumps(config, sort_keys=True)]
-    if mode == "increments":
-        lines.extend(f"{i},{float(v)!r}" for i, v in enumerate(values))
-    else:
-        lines.extend(f"{float(v)!r}" for v in values)
+    """Write values as an increments file: 'index,value' lines under a header
+    holding config with its "mode" set to "increments"."""
+    lines = [MAGIC + json.dumps({**config, "mode": "increments"}, sort_keys=True)]
+    lines.extend(f"{i},{float(v)!r}" for i, v in enumerate(values))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -48,14 +46,20 @@ def write_series(path: str, values: np.ndarray, config: dict) -> None:
 def read_series(path: str) -> tuple[np.ndarray, dict]:
     config: dict = {}
     values = []
-    with open(path) as fh:
-        raw = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        raw = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise CSVParseError(data.count(b"\n", 0, exc.start) + 1, f"not UTF-8 text: {exc}") from exc
     start = 0
     if raw and raw[0].startswith(MAGIC):
         try:
             config = json.loads(raw[0][len(MAGIC):])
         except json.JSONDecodeError as exc:
             raise CSVParseError(1, f"bad header JSON: {exc}") from exc
+        if not isinstance(config, dict):
+            raise CSVParseError(1, "header JSON is not an object")
         start = 1
     mode = config.get("mode", "levels")
     for k, line in enumerate(raw[start:], start=start + 1):
@@ -125,8 +129,8 @@ GRID_WINDOW = ("p_min", "p_max", "p_step", "c_min", "c_max", "c_step")
 def cmd_estimate(args) -> int:
     try:
         series, header = read_series(args.input)
-    except FileNotFoundError:
-        print(f"no such input file: {args.input}", file=sys.stderr)
+    except OSError as exc:
+        print(f"cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except CSVParseError as exc:
         print(f"parse failure in {args.input}: {exc}", file=sys.stderr)
@@ -142,11 +146,11 @@ def cmd_estimate(args) -> int:
         cfg = GridConfig(
             **{name: getattr(args, name) for name in GRID_WINDOW}, refine=not args.no_refine
         )
-        blocked = block_split(series, int(n), mode=mode, demean=args.demean)
-        result = estimate(blocked, cfg)
+        blocks = block_split(series, int(n), mode=mode, demean=args.demean)
+        result = estimate(blocks, cfg)
         fixed = None
         if args.fixed_c is not None:
-            fixed = ks_surface(blocked, [args.fixed_c], result.surface.p_grid)
+            fixed = ks_surface(blocks, [args.fixed_c], result.surface.p_grid)
     except (EstimationError, ValueError) as exc:
         print(f"estimation aborted: {exc}", file=sys.stderr)
         return EXIT_GRID
@@ -155,7 +159,7 @@ def cmd_estimate(args) -> int:
     try:
         _write_surface(base + ".surface.csv", result)
         _write_slice(base + ".slice.csv", result)
-        _write_result(base + ".result.txt", result, blocked)
+        _write_result(base + ".result.txt", result, blocks.shape)
         if fixed is not None:
             _write_fixed_c(base + ".fixedc.csv", fixed)
         if args.gnuplot:
@@ -190,14 +194,15 @@ def _write_slice(path, result):
             fh.write(f"{float(p)!r},{float(p) / 2.0!r},{float(c)!r},{float(d)!r}\n")
 
 
-def _write_result(path, result, blocked):
+def _write_result(path, result, shape):
+    m, n = shape
     lines = [
         f"alpha_star {result.alpha_star!r}",
         f"c_star {result.c_star!r}",
         f"p_star {result.p_star!r}",
         f"d_min {result.d_min!r}",
-        f"m {blocked.m}",
-        f"n {blocked.n}",
+        f"m {m}",
+        f"n {n}",
         f"boundary {result.surface.boundary}",
         f"tie_count {result.surface.tie_count}",
     ]

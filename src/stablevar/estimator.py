@@ -4,7 +4,6 @@ over (C, p). The estimates are alpha* = p*/2 and C*."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,23 +18,9 @@ class EstimationError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class BlockedSeries:
-    """Adjacent non-overlapping groups of n consecutive points, each treated
-    as a path on [0, 1] with grid spacing 1/n. increments has shape (m, n)."""
-
-    m: int
-    n: int
-    increments: np.ndarray
-
-    def __post_init__(self):
-        if self.increments.shape != (self.m, self.n):
-            raise ValueError("increments shape does not match (m, n)")
-
-
-def block_split(series, n: int, mode: str = "levels", demean: bool = False) -> BlockedSeries:
-    """Split a series into m = floor(len/n) blocks of n increments; the
-    trailing remainder is dropped.
+def block_split(series, n: int, mode: str = "levels", demean: bool = False) -> np.ndarray:
+    """Split a series into m = floor(len/n) blocks of n increments, returned
+    as an (m, n) array; the trailing remainder is dropped.
 
     In 'levels' mode the series is differenced once; the block boundaries use
     the last point of the previous block, so the blocks partition the first
@@ -58,24 +43,21 @@ def block_split(series, n: int, mode: str = "levels", demean: bool = False) -> B
     blocks = incr[: m * n].reshape(m, n).copy()
     if demean:
         blocks -= blocks.mean(axis=1, keepdims=True)
-    return BlockedSeries(m, n, blocks)
+    return blocks
 
 
-def ks_distance(values, c_prime: float) -> float:
-    """sup_{x>=0} |G(x) - F_{1/2,c'}(x)|, G the empirical CDF of values, by the exact formula."""
+def ks_distance(values, c_prime):
+    """sup_{x>=0} |G(x) - F_{1/2,c'}(x)|, G the empirical CDF of values, by the
+    exact formula: a float for a scalar c', else one distance per c' in
+    c_prime at once, as one (len(c_prime), m) broadcast."""
     xs = np.sort(np.asarray(values, dtype=float))
-    return float(_ks_sorted(xs, c_prime))
-
-
-def _ks_sorted(xs_sorted: np.ndarray, c_primes):
-    """ks_distance of a sorted sample for each c' in c_primes at once, as one
-    (len(c_primes), m) broadcast; a scalar c' gives a 0-d result."""
-    m = len(xs_sorted)
-    f = ref_cdf_half_stable(np.asarray(c_primes, dtype=float)[..., None], xs_sorted)
+    m = len(xs)
+    f = ref_cdf_half_stable(np.asarray(c_prime, dtype=float)[..., None], xs)
     i = np.arange(1, m + 1)
     d_plus = np.max(i / m - f, axis=-1)
     d_minus = np.max(f - (i - 1) / m, axis=-1)
-    return np.maximum(np.maximum(d_plus, d_minus), 0.0)
+    d = np.maximum(np.maximum(d_plus, d_minus), 0.0)
+    return float(d) if d.ndim == 0 else d
 
 
 def _c_prime_coupled(c, p: float):
@@ -90,11 +72,11 @@ def _c_prime_coupled(c, p: float):
     return float(c_prime) if c_prime.ndim == 0 else c_prime
 
 
-def _coupled_distance(blocked: BlockedSeries, c, p: float):
-    """D_n(C, p): the KS distance of the uncompensated block p-variations
-    V_p^n(X^(i))_1 to the half-stable law of scale C' = C^p k(p), for each C in
-    c at once (a scalar c gives a 0-d result)."""
-    return _ks_sorted(np.sort(terminal_pvariation(blocked.increments, p)), _c_prime_coupled(c, p))
+def _coupled_distance(blocks: np.ndarray, c, p: float):
+    """D_n(C, p): the KS distance of the uncompensated p-variations
+    V_p^n(X^(i))_1 of the rows of the (m, n) blocks to the half-stable law of
+    scale C' = C^p k(p), for each C in c at once (a scalar c gives a float)."""
+    return ks_distance(terminal_pvariation(blocks, p), _c_prime_coupled(c, p))
 
 
 def _strict_local_minima(d: np.ndarray) -> np.ndarray:
@@ -148,13 +130,14 @@ class KSSurface:
         )
 
 
-def ks_surface(blocked: BlockedSeries, c_grid, p_grid) -> KSSurface:
-    """Evaluate D_n(C, p) on the full grid, one broadcast over C per p."""
+def ks_surface(blocks: np.ndarray, c_grid, p_grid) -> KSSurface:
+    """Evaluate D_n(C, p) of the (m, n) blocks on the full grid, one
+    broadcast over C per p."""
     c_grid = np.asarray(c_grid, dtype=float)
     p_grid = np.asarray(p_grid, dtype=float)
     if len(c_grid) == 0 or len(p_grid) == 0:
         raise ValueError("grids must be non-empty")
-    d = np.column_stack([_coupled_distance(blocked, c_grid, p) for p in p_grid])
+    d = np.column_stack([_coupled_distance(blocks, c_grid, p) for p in p_grid])
     return KSSurface.from_values(c_grid, p_grid, d)
 
 
@@ -210,21 +193,24 @@ class EstimationResult:
     slice_best_c: np.ndarray  # rows (p, best C, D at best C)
 
 
-def estimate(blocked: BlockedSeries, config: GridConfig | None = None) -> EstimationResult:
-    """Coarse grid search over (C, p) followed by Nelder-Mead refinement from
-    the best grid cell. Returns alpha* = p*/2 and C* along with the surface
-    and the per-p best-C slice."""
+def estimate(blocks: np.ndarray, config: GridConfig | None = None) -> EstimationResult:
+    """Coarse grid search over (C, p) for the (m, n) array of block
+    increments, followed by Nelder-Mead refinement from the best grid cell.
+    Returns alpha* = p*/2 and C* along with the surface and the per-p best-C
+    slice."""
     if config is None:
         config = GridConfig()
-    if blocked.m < M_MIN:
+    if np.ndim(blocks) != 2:
+        raise ValueError(f"blocks must be an (m, n) array, got shape {np.shape(blocks)}")
+    if len(blocks) < M_MIN:
         raise EstimationError(
-            f"need at least {M_MIN} blocks for a usable empirical CDF, got {blocked.m}"
+            f"need at least {M_MIN} blocks for a usable empirical CDF, got {len(blocks)}"
         )
-    if not np.all(np.isfinite(blocked.increments)):
+    if not np.all(np.isfinite(blocks)):
         raise EstimationError("the series holds a NaN or infinite increment")
-    if not np.any(blocked.increments):
+    if not np.any(blocks):
         raise EstimationError("every block p-variation is zero (constant series)")
-    surf = ks_surface(blocked, config.c_grid(), config.p_grid())
+    surf = ks_surface(blocks, config.c_grid(), config.p_grid())
     c_star, p_star, d_min = surf.argmin
 
     # per-p slice minimized over C (the curve plotted against alpha = p/2)
@@ -240,7 +226,7 @@ def estimate(blocked: BlockedSeries, config: GridConfig | None = None) -> Estima
             c, p = theta
             if not (config.c_min <= c <= config.c_max and config.p_min <= p <= config.p_max):
                 return 1.0
-            return float(_coupled_distance(blocked, c, p))
+            return _coupled_distance(blocks, c, p)
 
         res = optimize.minimize(
             objective, x0=[c_star, p_star], method="Nelder-Mead",

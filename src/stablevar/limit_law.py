@@ -63,7 +63,8 @@ def ref_cdf_half_stable(c_prime, x) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def sample_limit(params: StableParams, p: float, stream: RandomStream, size=None):
-    """Draws from the limiting law limit_scale(params, p) of the terminal
-    p-variation of an S_alpha(C, beta, 0) Levy process."""
-    return sample_stable(limit_scale(params, p), stream, size=size)
+def sample_limit(params: StableParams, p: float, stream: RandomStream, size) -> np.ndarray:
+    """An ndarray of the given shape drawn from the limiting law
+    limit_scale(params, p) of the terminal p-variation of an
+    S_alpha(C, beta, 0) Levy process."""
+    return sample_stable(limit_scale(params, p), stream, size)

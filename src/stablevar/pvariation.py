@@ -1,9 +1,8 @@
-"""Equidistant p-variation V_p^n(X)_t and its compensated version."""
+"""Terminal equidistant p-variation V_p^n(X)_1 and its compensated version."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,29 +18,6 @@ def abs_powers(increments: np.ndarray, p: float) -> np.ndarray:
         np.log(x, out=x)
     x *= p
     return np.exp(x, out=x)
-
-
-@dataclass(frozen=True)
-class VariationSeries:
-    """The step process V_p^n(X)_{k/n}: non-decreasing partial sums of
-    |increment|^p."""
-
-    n: int
-    p: float
-    raw: np.ndarray
-
-
-def pvariation(path: PathSample, p: float) -> VariationSeries:
-    """V_p^n(X)_{k/n} = sum_{i<=k} |X_{i/n} - X_{(i-1)/n}|^p for k = 0..floor(nT)."""
-    if p <= 0.0:
-        raise ValueError(f"p must be positive, got {p}")
-    if len(path.values) < 2:
-        raise ValueError("path must have at least 2 points")
-    powers = abs_powers(path.increments(), p)
-    raw = np.empty(len(powers) + 1)
-    raw[0] = 0.0
-    np.cumsum(powers, out=raw[1:])
-    return VariationSeries(path.n, p, raw)
 
 
 def terminal_pvariation(increments: np.ndarray, p: float) -> float | np.ndarray:

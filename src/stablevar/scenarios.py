@@ -29,10 +29,10 @@ def two_sample_ks(a, b) -> float:
     return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
-def ks_threshold(m: int, coeff: float = 1.52) -> float:
-    """Rejection threshold coeff * sqrt(2/m) for two samples of size m
-    (coeff 1.52 corresponds to level ~= 0.02)."""
-    return coeff * math.sqrt(2.0 / m)
+def ks_threshold(m: int) -> float:
+    """Rejection threshold 1.52 sqrt(2/m) for two samples of size m (level
+    about 0.02)."""
+    return 1.52 * math.sqrt(2.0 / m)
 
 
 BLOCK_VALUES = 200 * 10_000

@@ -91,27 +91,21 @@ def _cms_standard(alpha: float, beta: float, rng: np.random.Generator, size) -> 
     return x
 
 
-def sample_stable(params: StableParams, stream: RandomStream, size=None):
-    """Draw from S_alpha(C, beta, 0).
+def sample_stable(params: StableParams, stream: RandomStream, size) -> np.ndarray:
+    """Draw an ndarray of the given shape from S_alpha(C, beta, 0).
 
-    Returns a scalar when size is None, else an ndarray of the given shape.
     The draw sequence is a pure function of (params, stream).
     """
     rng = stream.generator()
-    n = 1 if size is None else size
     a, c, beta = params.alpha, params.scale_C, params.beta
     if a == 2.0:
-        out = rng.normal(0.0, math.sqrt(2.0) * c, size=n)
-    elif abs(a - 1.0) < ALPHA_ONE_TOL:
+        return rng.normal(0.0, math.sqrt(2.0) * c, size=size)
+    if abs(a - 1.0) < ALPHA_ONE_TOL:
         # at alpha = 1 scaling is not closed under the log term: C times an
         # S_1(1, beta, 0) draw is S_1(C, beta, 0) shifted by (2/pi) beta C log C
         # (Samorodnitsky & Taqqu 1994, Property 1.2.3)
-        out = c * _cms_standard(1.0, beta, rng, n) - (2.0 / math.pi) * beta * c * math.log(c)
-    else:
-        out = c * _cms_standard(a, beta, rng, n)
-    if size is None:
-        return float(out[0])
-    return out
+        return c * _cms_standard(1.0, beta, rng, size) - (2.0 / math.pi) * beta * c * math.log(c)
+    return c * _cms_standard(a, beta, rng, size)
 
 
 def _log_cos(w: complex) -> complex:

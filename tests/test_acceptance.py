@@ -12,16 +12,10 @@ from scipy import integrate
 from scipy.special import gamma as gamma_fn
 
 from stablevar.cli import main
-from stablevar.estimator import (
-    BlockedSeries,
-    GridConfig,
-    block_split,
-    estimate,
-    ks_distance,
-)
+from stablevar.estimator import GridConfig, block_split, estimate, ks_distance
 from stablevar.limit_law import limit_scale, ref_cdf_half_stable
 from stablevar.path_sim import PathSample, simulate_levy
-from stablevar.pvariation import pvariation
+from stablevar.pvariation import terminal_pvariation
 from stablevar.scenarios import ks_threshold, run_scenario
 from stablevar.stable_law import RandomStream, StableParams, abs_moment, sample_stable, sin_moment
 
@@ -142,17 +136,16 @@ class TestAcceptance:
         c = 3.7
         scaled = PathSample(path.n, path.horizon_T, c * path.values)
         checks.append(np.allclose(
-            pvariation(scaled, p).raw, c**p * pvariation(path, p).raw, rtol=1e-11
+            terminal_pvariation(scaled.increments(), p),
+            c**p * terminal_pvariation(path.increments(), p), rtol=1e-11,
         ))
 
         # translation invariance
         shifted = PathSample(path.n, path.horizon_T, path.values + 17.5)
         checks.append(np.allclose(
-            pvariation(path, p).raw, pvariation(shifted, p).raw, rtol=1e-9, atol=1e-12
+            terminal_pvariation(path.increments(), p),
+            terminal_pvariation(shifted.increments(), p), rtol=1e-9, atol=1e-12,
         ))
-
-        # monotonicity of the partial sums
-        checks.append(bool(np.all(np.diff(pvariation(path, p).raw) >= 0.0)))
 
         # ks_distance against a brute-force sup over a dense grid plus jumps
         values = np.random.default_rng(201).gamma(2.0, 2.0, size=200)
@@ -169,13 +162,12 @@ class TestAcceptance:
             simulate_levy(StableParams(0.9, 1.5), 200, 1.0, RandomStream(202, i)).increments()
             for i in range(80)
         ])
-        blocked = block_split(inc, 200, mode="increments")
-        doubled = BlockedSeries(blocked.m, blocked.n, lam * blocked.increments)
+        blocks = block_split(inc, 200, mode="increments")
         cfg = GridConfig(c_min=0.5, c_max=8.0, c_step=0.05, p_min=1.2, p_max=2.4,
                          p_step=0.05, refine=False)
         cfg2 = GridConfig(c_min=lam * 0.5, c_max=lam * 8.0, c_step=lam * 0.05,
                           p_min=1.2, p_max=2.4, p_step=0.05, refine=False)
-        r1, r2 = estimate(blocked, cfg), estimate(doubled, cfg2)
+        r1, r2 = estimate(blocks, cfg), estimate(lam * blocks, cfg2)
         checks.append(
             abs(r2.p_star - r1.p_star) < 1e-9
             and abs(r2.c_star - lam * r1.c_star) < 1e-6 * r1.c_star

@@ -14,20 +14,21 @@ def run(argv):
 
 
 class TestSeriesIO:
-    def test_round_trip_levels(self, tmp_path):
-        path = str(tmp_path / "s.csv")
-        values = np.array([0.0, 1.5, -2.25])
-        write_series(path, values, {"mode": "levels", "n": 3})
-        back, header = read_series(path)
-        np.testing.assert_array_equal(back, values)
+    def test_reads_levels(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text('# stablevar v1 {"mode": "levels", "n": 3}\n0.0\n1.5\n-2.25\n')
+        back, header = read_series(str(path))
+        np.testing.assert_array_equal(back, [0.0, 1.5, -2.25])
         assert header == {"mode": "levels", "n": 3}
 
     def test_round_trip_increments_bitwise(self, tmp_path):
         path = str(tmp_path / "s.csv")
         values = np.random.default_rng(0).normal(size=50)
-        write_series(path, values, {"mode": "increments"})
-        back, _ = read_series(path)
+        # the header records the mode the file is written in
+        write_series(path, values, {})
+        back, header = read_series(path)
         np.testing.assert_array_equal(back, values)
+        assert header == {"mode": "increments"}
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -50,6 +51,20 @@ class TestSeriesIO:
         with pytest.raises(CSVParseError) as exc:
             read_series(str(path))
         assert exc.value.line_no == 2
+
+    def test_non_object_header_rejected(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("# stablevar v1 [1, 2]\n1.0\n")
+        with pytest.raises(CSVParseError, match="not an object") as exc:
+            read_series(str(path))
+        assert exc.value.line_no == 1
+
+    def test_non_utf8_rejected(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"1.0\n2.0\n\xff3.0\n")
+        with pytest.raises(CSVParseError, match="UTF-8") as exc:
+            read_series(str(path))
+        assert exc.value.line_no == 3
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -159,6 +174,40 @@ class TestEstimate:
             "estimate", "--input", str(tmp_path / "nope.csv"),
             "--output", str(tmp_path / "e"),
         ]) == 3
+
+    @pytest.mark.parametrize("content, problem", [
+        ("# stablevar v1 [1]\n1.0\n", "header JSON is not an object"),
+        (b"1.0\n\xff\n", "not UTF-8 text"),
+        (None, "Is a directory"),
+    ], ids=["non-object-header", "non-utf8", "directory"])
+    def test_unreadable_input_exits_3(self, tmp_path, capsys, content, problem):
+        inp = tmp_path / "in.csv"
+        if content is None:
+            inp.mkdir()
+        elif isinstance(content, bytes):
+            inp.write_bytes(content)
+        else:
+            inp.write_text(content)
+        assert run(["estimate", "--input", str(inp), "--output", str(tmp_path / "e")]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert problem in err and err.count("\n") == 1
+
+    def test_levels_input_matches_increments(self, tmp_path):
+        # a levels file, written by hand, fits exactly as the increments file
+        # of np.diff(levels, prepend=levels[0]), the differencing block_split
+        # applies to levels
+        levels = np.cumsum(np.random.default_rng(3).standard_cauchy(size=24 * 50))
+        lv = tmp_path / "levels.csv"
+        lv.write_text('# stablevar v1 {"mode": "levels", "n": 50}\n'
+                      + "".join(f"{float(v)!r}\n" for v in levels))
+        inc = str(tmp_path / "inc.csv")
+        write_series(inc, np.diff(levels, prepend=levels[0]), {"mode": "increments", "n": 50})
+        for name in ("levels", "inc"):
+            assert run(["estimate", "--input", str(tmp_path / f"{name}.csv"),
+                        "--output", str(tmp_path / name)]) == 0
+        for suffix in (".surface.csv", ".slice.csv", ".result.txt"):
+            assert (tmp_path / f"levels{suffix}").read_bytes() == (tmp_path / f"inc{suffix}").read_bytes()
 
     def test_garbage_input_exits_3(self, tmp_path):
         bad = tmp_path / "bad.csv"

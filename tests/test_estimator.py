@@ -9,7 +9,6 @@ from scipy.stats import kstest
 
 from stablevar import estimator
 from stablevar.estimator import (
-    BlockedSeries,
     EstimationError,
     GridConfig,
     KSSurface,
@@ -30,18 +29,16 @@ def levy_series(params, n_total, seed):
 
 class TestBlockSplit:
     def test_block_count_with_remainder(self):
-        b = block_split(np.arange(850, dtype=float), 200)
-        assert (b.m, b.n) == (4, 200)
+        assert block_split(np.arange(850, dtype=float), 200).shape == (4, 200)
 
     def test_square_series(self):
-        b = block_split(np.zeros(282 * 282), 282)
-        assert (b.m, b.n) == (282, 282)
+        assert block_split(np.zeros(282 * 282), 282).shape == (282, 282)
 
     def test_partition_reconstruction(self):
         rng = np.random.default_rng(0)
         s = rng.normal(size=600).cumsum()
         b = block_split(s, 100)
-        rebuilt = s[0] + np.cumsum(b.increments.ravel())
+        rebuilt = s[0] + np.cumsum(b.ravel())
         np.testing.assert_allclose(rebuilt, s[:600], rtol=1e-12, atol=1e-12)
 
     def test_rejects_short_series(self):
@@ -51,12 +48,12 @@ class TestBlockSplit:
     def test_increments_mode(self):
         inc = np.arange(12, dtype=float)
         b = block_split(inc, 4, mode="increments")
-        np.testing.assert_array_equal(b.increments, inc.reshape(3, 4))
+        np.testing.assert_array_equal(b, inc.reshape(3, 4))
 
     def test_demean(self):
         rng = np.random.default_rng(1)
         b = block_split(rng.normal(size=400), 100, mode="increments", demean=True)
-        np.testing.assert_allclose(b.increments.mean(axis=1), 0.0, atol=1e-14)
+        np.testing.assert_allclose(b.mean(axis=1), 0.0, atol=1e-14)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -75,14 +72,14 @@ class TestBlockSplit:
         series = np.array(values)
         b = block_split(series, n)
         np.testing.assert_array_equal(
-            np.cumsum(b.increments.ravel()), series[: b.m * n] - series[0]
+            np.cumsum(b.ravel()), series[: b.size] - series[0]
         )
 
 
 class TestBlockStatistics:
     def test_trivial_block(self):
-        b = BlockedSeries(2, 3, np.array([[1.0, -2.0, 0.0], [3.0, 0.0, 0.0]]))
-        np.testing.assert_allclose(terminal_pvariation(b.increments, 2.0), [5.0, 9.0])
+        b = np.array([[1.0, -2.0, 0.0], [3.0, 0.0, 0.0]])
+        np.testing.assert_allclose(terminal_pvariation(b, 2.0), [5.0, 9.0])
 
     def test_half_stable_limit_law(self):
         # per-block p-variations of stable increments approach the reference law
@@ -93,15 +90,14 @@ class TestBlockStatistics:
                 for i in range(m)
             ]
         )
-        stats = terminal_pvariation(block_split(inc, n, mode="increments").increments, p)
+        stats = terminal_pvariation(block_split(inc, n, mode="increments"), p)
         cp = limit_scale(params, p).scale_C
         res = kstest(stats, lambda v: ref_cdf_half_stable(cp, v))
         assert res.pvalue > 0.01
 
     def test_rejects_bad_p(self):
-        b = BlockedSeries(1, 2, np.zeros((1, 2)))
         with pytest.raises(ValueError):
-            terminal_pvariation(b.increments, -1.0)
+            terminal_pvariation(np.zeros((1, 2)), -1.0)
 
 
 class TestEmpiricalCdf:
@@ -182,8 +178,7 @@ class TestKsSurface:
 
     def test_block_permutation_invariance(self):
         blocked = self.make_blocked()
-        perm = np.random.default_rng(6).permutation(blocked.m)
-        shuffled = BlockedSeries(blocked.m, blocked.n, blocked.increments[perm])
+        shuffled = blocked[np.random.default_rng(6).permutation(len(blocked))]
         c_grid, p_grid = np.arange(1.0, 4.0, 0.5), np.arange(1.0, 2.5, 0.25)
         a = ks_surface(blocked, c_grid, p_grid)
         b = ks_surface(shuffled, c_grid, p_grid)
@@ -290,13 +285,20 @@ class TestEstimate:
         return block_split(inc, n, mode="increments")
 
     def test_constant_series_rejected(self):
-        blocked = BlockedSeries(30, 50, np.zeros((30, 50)))
         with pytest.raises(EstimationError, match="zero"):
-            estimate(blocked)
+            estimate(np.zeros((30, 50)))
+
+    @pytest.mark.parametrize("shape", [(30 * 50,), (2, 30, 50)])
+    def test_rejects_non_2d_array(self, monkeypatch, shape):
+        # the shape is checked before any distance is computed
+        monkeypatch.setattr(estimator, "ks_distance", lambda *a: pytest.fail("distance computed"))
+        blocks = np.random.default_rng(12).normal(size=shape)
+        with pytest.raises(ValueError, match=r"\(m, n\) array"):
+            estimate(blocks)
 
     def test_non_finite_increment_rejected(self):
         blocked = self.make_blocked(StableParams(1.0, 1.0), seed=11, m=40)
-        blocked.increments[17, 123] = np.nan
+        blocked[17, 123] = np.nan
         with pytest.raises(EstimationError, match="NaN or infinite"):
             estimate(blocked)
 
@@ -318,7 +320,7 @@ class TestEstimate:
         lam = 2.0
         params = StableParams(0.9, 1.5)
         blocked = self.make_blocked(params, seed=9, m=80)
-        scaled = BlockedSeries(blocked.m, blocked.n, lam * blocked.increments)
+        scaled = lam * blocked
         cfg = GridConfig(c_min=0.5, c_max=8.0, c_step=0.05, p_min=1.2, p_max=2.4,
                          p_step=0.05, refine=False)
         cfg2 = GridConfig(c_min=lam * 0.5, c_max=lam * 8.0, c_step=lam * 0.05,
@@ -337,7 +339,7 @@ class TestEstimate:
         # D(lam C, p) equals D(C, p) up to rounding, so the argmin moves along
         lam = 2.0**k
         blocked = self.make_blocked(StableParams(alpha, 1.5), seed=seed, m=24, n=60)
-        scaled = BlockedSeries(blocked.m, blocked.n, lam * blocked.increments)
+        scaled = lam * blocked
         window = dict(p_min=1.0, p_max=2.4, p_step=0.1, refine=False)
         a = estimate(blocked, GridConfig(c_min=0.5, c_max=6.0, c_step=0.25, **window))
         b = estimate(scaled, GridConfig(c_min=lam * 0.5, c_max=lam * 6.0, c_step=lam * 0.25,

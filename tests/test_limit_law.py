@@ -149,6 +149,6 @@ class TestSampleLimit:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            sample_limit(StableParams(1.5, 1.0), 0.75, RandomStream(0))
+            sample_limit(StableParams(1.5, 1.0), 0.75, RandomStream(0), 1)
         with pytest.raises(ValueError):
-            sample_limit(StableParams(2.0, 1.0), 1.2, RandomStream(0))
+            sample_limit(StableParams(2.0, 1.0), 1.2, RandomStream(0), 1)

@@ -16,7 +16,6 @@ from stablevar.path_sim import (
 )
 from stablevar.pvariation import compensator, terminal_pvariation
 from stablevar.scenarios import (
-    ks_threshold,
     levy_statistic_sample,
     sde_statistic_pairs,
     two_sample_ks,
@@ -208,7 +207,7 @@ class TestAddPerturbation:
         (pert,) = levy_statistic_sample(params, n, m, 15, (), (p,), math.sin)
         base -= n * compensator(params, p, n)
         pert -= n * compensator(params, p, n)
-        assert two_sample_ks(base, pert) < ks_threshold(m, coeff=1.63)  # level ~0.01
+        assert two_sample_ks(base, pert) < 1.63 * math.sqrt(2.0 / m)  # level ~0.01
 
 
 class TestPathSample:

@@ -11,7 +11,7 @@ from scipy.special import gamma as gamma_fn
 from scipy.stats import ks_2samp
 
 from stablevar.path_sim import PathSample, simulate_levy
-from stablevar.pvariation import compensated_terminal, compensator, pvariation, terminal_pvariation
+from stablevar.pvariation import compensated_terminal, compensator, terminal_pvariation
 from stablevar.stable_law import RandomStream, StableParams, sample_stable
 
 
@@ -23,53 +23,39 @@ def make_path(values, n=None):
 
 class TestPVariation:
     def test_constant_path(self):
-        vs = pvariation(make_path([3.0, 3.0, 3.0, 3.0]), 1.7)
-        np.testing.assert_array_equal(vs.raw, np.zeros(4))
+        assert terminal_pvariation(make_path([3.0, 3.0, 3.0, 3.0]).increments(), 1.7) == 0.0
 
     def test_small_example(self):
-        vs = pvariation(make_path([0.0, 2.0, 3.0]), 2.0)
-        np.testing.assert_allclose(vs.raw, [0.0, 4.0, 5.0], rtol=1e-14)
+        v = terminal_pvariation(make_path([0.0, 2.0, 3.0]).increments(), 2.0)
+        assert v == pytest.approx(5.0, rel=1e-14)
 
     def test_brute_force_oracle_p1(self):
         rng = np.random.default_rng(0)
         values = rng.normal(size=501).cumsum()
-        vs = pvariation(make_path(values, n=500), 1.0)
+        v = terminal_pvariation(make_path(values, n=500).increments(), 1.0)
         total = 0.0
         for i in range(1, len(values)):
             total += abs(values[i] - values[i - 1])
-        assert abs(vs.raw[-1] - total) < 1e-9 * max(1.0, total)
+        assert abs(v - total) < 1e-9 * max(1.0, total)
 
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
-            pvariation(make_path([0.0, 1.0]), 0.0)
-
-    def test_monotone_and_zero_start(self):
-        path = simulate_levy(StableParams(1.2, 1.0), 1000, 1.0, RandomStream(1))
-        vs = pvariation(path, 0.9)
-        assert vs.raw[0] == 0.0
-        assert np.all(np.diff(vs.raw) >= 0.0)
-
-    def test_additivity_over_subintervals(self):
-        path = simulate_levy(StableParams(1.2, 1.0), 100, 2.0, RandomStream(2))
-        half = PathSample(100, 1.0, path.values[:101])
-        vs_full = pvariation(path, 1.3)
-        vs_half = pvariation(half, 1.3)
-        np.testing.assert_allclose(vs_full.raw[:101], vs_half.raw, rtol=1e-12)
+            terminal_pvariation(make_path([0.0, 1.0]).increments(), 0.0)
 
     def test_translation_invariance(self):
         path = simulate_levy(StableParams(1.2, 1.0), 500, 1.0, RandomStream(3))
         shifted = PathSample(path.n, path.horizon_T, path.values + 17.5)
         # shifting perturbs the recomputed increments at ulp level only
-        np.testing.assert_allclose(
-            pvariation(path, 1.1).raw, pvariation(shifted, 1.1).raw, rtol=1e-9, atol=1e-12
+        assert terminal_pvariation(shifted.increments(), 1.1) == pytest.approx(
+            terminal_pvariation(path.increments(), 1.1), rel=1e-9
         )
 
     def test_scaling_by_c_pow_p(self):
         c, p = 3.7, 1.4
         path = simulate_levy(StableParams(1.2, 1.0), 500, 1.0, RandomStream(4))
         scaled = PathSample(path.n, path.horizon_T, c * path.values)
-        np.testing.assert_allclose(
-            pvariation(scaled, p).raw, c**p * pvariation(path, p).raw, rtol=1e-11
+        assert terminal_pvariation(scaled.increments(), p) == pytest.approx(
+            c**p * terminal_pvariation(path.increments(), p), rel=1e-11
         )
 
     def test_skew_sign_irrelevant_in_law(self):
@@ -155,7 +141,7 @@ class TestCompensatedTerminal:
     def test_equals_raw_above_alpha(self):
         path = simulate_levy(StableParams(1.5, 1.0), 200, 1.0, RandomStream(8))
         v = compensated_terminal(path, 2.0, StableParams(1.5, 1.0))
-        assert v == pytest.approx(pvariation(path, 2.0).raw[-1], rel=1e-12)
+        assert v == pytest.approx(terminal_pvariation(path.increments(), 2.0), rel=1e-12)
 
     def test_constant_path_below_alpha(self):
         params = StableParams(1.5, 1.0)

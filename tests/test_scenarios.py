@@ -198,9 +198,9 @@ class TestScenarioPower:
         m, n = 500, 1000
         assert run_scenario("thm3-lipschitz", seed=seed, m=m, n=n).passed
 
-        def mirrored(params, p, stream, size=None):
+        def mirrored(params, p, stream, size):
             law = limit_scale(params, p)
-            return sample_stable(dataclasses.replace(law, beta=-law.beta), stream, size=size)
+            return sample_stable(dataclasses.replace(law, beta=-law.beta), stream, size)
 
         monkeypatch.setattr(scenarios, "sample_limit", mirrored)
         assert not run_scenario("thm3-lipschitz", seed=seed, m=m, n=n).passed
