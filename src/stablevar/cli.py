@@ -2,7 +2,8 @@
 from a series, and run the convergence-test scenarios.
 
 CSV format: UTF-8 text, a header line '# stablevar v1 <json-object>', then one
-value per line in levels mode or 'index,value' lines in increments mode.
+level per line or 'index,value' increment lines, as the header's "mode" says;
+read_series alone reads the format and returns increments.
 """
 
 from __future__ import annotations
@@ -43,7 +44,10 @@ def write_series(path: str, values: np.ndarray, config: dict) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_series(path: str) -> tuple[np.ndarray, dict]:
+def read_series(path: str) -> tuple[np.ndarray, int | None]:
+    """Return the file's increments and its header's block size n (or None).
+    Levels (header mode "levels", or no mode) are differenced here as
+    np.diff(values, prepend=values[0]), so the first increment is zero."""
     config: dict = {}
     values = []
     with open(path, "rb") as fh:
@@ -62,6 +66,11 @@ def read_series(path: str) -> tuple[np.ndarray, dict]:
             raise CSVParseError(1, "header JSON is not an object")
         start = 1
     mode = config.get("mode", "levels")
+    if mode not in ("levels", "increments"):
+        raise CSVParseError(1, f'header mode {json.dumps(mode)} is not "levels" or "increments"')
+    n = config.get("n")
+    if "n" in config and (type(n) is not int or n < 1):
+        raise CSVParseError(1, f"header n {json.dumps(n)} is not an integer >= 1")
     for k, line in enumerate(raw[start:], start=start + 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -84,7 +93,10 @@ def read_series(path: str) -> tuple[np.ndarray, dict]:
         values.append(value)
     if not values:
         raise CSVParseError(len(raw) + 1, "no data lines found")
-    return np.asarray(values), config
+    values = np.asarray(values)
+    if mode == "levels":
+        values = np.diff(values, prepend=values[0])
+    return values, n
 
 
 def cmd_simulate(args) -> int:
@@ -107,7 +119,6 @@ def cmd_simulate(args) -> int:
         streams=streams,
     )
     config = {
-        "mode": "increments",
         "alpha": args.alpha, "scale": args.scale, "beta": args.beta,
         "n": args.n, "m": args.m, "T": args.T, "seed": args.seed,
         "drift": args.drift, "fine_multiplier": args.fine_multiplier,
@@ -128,7 +139,7 @@ GRID_WINDOW = ("p_min", "p_max", "p_step", "c_min", "c_max", "c_step")
 
 def cmd_estimate(args) -> int:
     try:
-        series, header = read_series(args.input)
+        increments, header_n = read_series(args.input)
     except OSError as exc:
         print(f"cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -136,8 +147,7 @@ def cmd_estimate(args) -> int:
         print(f"parse failure in {args.input}: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    mode = args.mode or header.get("mode", "levels")
-    n = args.n or header.get("n")
+    n = args.n or header_n
     if not n:
         print("block size n is required (flag --n or file header)", file=sys.stderr)
         return EXIT_GRID
@@ -146,7 +156,7 @@ def cmd_estimate(args) -> int:
         cfg = GridConfig(
             **{name: getattr(args, name) for name in GRID_WINDOW}, refine=not args.no_refine
         )
-        blocks = block_split(series, int(n), mode=mode, demean=args.demean)
+        blocks = block_split(increments, n, demean=args.demean)
         result = estimate(blocks, cfg)
         fixed = None
         if args.fixed_c is not None:
@@ -277,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--input", required=True)
     est.add_argument("--output", required=True, help="output base path")
     est.add_argument("--n", type=int, default=0, help="points per block (or from header)")
-    est.add_argument("--mode", choices=["levels", "increments"], default=None)
     est.add_argument("--demean", action="store_true", help="remove per-block mean increment")
     for name in GRID_WINDOW:
         est.add_argument("--" + name.replace("_", "-"), type=float,

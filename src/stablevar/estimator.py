@@ -18,29 +18,17 @@ class EstimationError(RuntimeError):
     pass
 
 
-def block_split(series, n: int, mode: str = "levels", demean: bool = False) -> np.ndarray:
-    """Split a series into m = floor(len/n) blocks of n increments, returned
-    as an (m, n) array; the trailing remainder is dropped.
-
-    In 'levels' mode the series is differenced once; the block boundaries use
-    the last point of the previous block, so the blocks partition the first
-    m*n source points (the very first increment of block 0 is zero by
-    convention, there being no point before the series start). In
-    'increments' mode the values are grouped as-is. demean subtracts each
+def block_split(increments, n: int, demean: bool = False) -> np.ndarray:
+    """Group increments into m = floor(len/n) blocks of n, returned as an
+    (m, n) array; the trailing remainder is dropped. demean subtracts each
     block's mean increment (off by default)."""
-    series = np.asarray(series, dtype=float)
+    increments = np.asarray(increments, dtype=float)
     if n < 1:
         raise ValueError("n must be >= 1")
-    if len(series) < 2 * n:
-        raise ValueError(f"series of length {len(series)} is shorter than 2n={2 * n}")
-    if mode == "levels":
-        incr = np.diff(series, prepend=series[0])
-    elif mode == "increments":
-        incr = series
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    m = len(incr) // n
-    blocks = incr[: m * n].reshape(m, n).copy()
+    if len(increments) < 2 * n:
+        raise ValueError(f"series of length {len(increments)} is shorter than 2n={2 * n}")
+    m = len(increments) // n
+    blocks = increments[: m * n].reshape(m, n).copy()
     if demean:
         blocks -= blocks.mean(axis=1, keepdims=True)
     return blocks

@@ -162,7 +162,7 @@ class TestAcceptance:
             simulate_levy(StableParams(0.9, 1.5), 200, 1.0, RandomStream(202, i)).increments()
             for i in range(80)
         ])
-        blocks = block_split(inc, 200, mode="increments")
+        blocks = block_split(inc, 200)
         cfg = GridConfig(c_min=0.5, c_max=8.0, c_step=0.05, p_min=1.2, p_max=2.4,
                          p_step=0.05, refine=False)
         cfg2 = GridConfig(c_min=lam * 0.5, c_max=lam * 8.0, c_step=lam * 0.05,

@@ -4,9 +4,12 @@ import stat
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stablevar import cli
 from stablevar.cli import CSVParseError, main, read_series, write_series
+from stablevar.estimator import block_split
 
 
 def run(argv):
@@ -15,27 +18,57 @@ def run(argv):
 
 class TestSeriesIO:
     def test_reads_levels(self, tmp_path):
+        # levels are differenced, the first increment being zero by convention
         path = tmp_path / "s.csv"
         path.write_text('# stablevar v1 {"mode": "levels", "n": 3}\n0.0\n1.5\n-2.25\n')
-        back, header = read_series(str(path))
-        np.testing.assert_array_equal(back, [0.0, 1.5, -2.25])
-        assert header == {"mode": "levels", "n": 3}
+        back, n = read_series(str(path))
+        np.testing.assert_array_equal(back, [0.0, 1.5, -3.75])
+        assert n == 3
+
+    def test_partition_reconstruction(self, tmp_path):
+        s = np.random.default_rng(0).normal(size=600).cumsum()
+        path = tmp_path / "s.csv"
+        path.write_text("".join(f"{float(v)!r}\n" for v in s))
+        b = block_split(read_series(str(path))[0], 100)
+        rebuilt = s[0] + np.cumsum(b.ravel())
+        np.testing.assert_allclose(rebuilt, s, rtol=1e-12, atol=1e-12)
+
+    # deterministic: derandomized examples, so no false-failure rate; each
+    # example rewrites the one file
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(-10**6, 10**6).map(float), min_size=2 * n, max_size=5 * n),
+    )))
+    def test_levels_blocks_partition_the_series(self, tmp_path, case):
+        # integer-valued floats keep diff and cumsum exact, so the identity is
+        # bitwise: the blocked increments rebuild series[:m*n] - series[0]
+        n, values = case
+        path = tmp_path / "s.csv"
+        path.write_text(f'# stablevar v1 {{"n": {n}}}\n' + "".join(f"{v!r}\n" for v in values))
+        increments, header_n = read_series(str(path))
+        b = block_split(increments, header_n)
+        series = np.array(values)
+        np.testing.assert_array_equal(np.cumsum(b.ravel()), series[: b.size] - series[0])
 
     def test_round_trip_increments_bitwise(self, tmp_path):
         path = str(tmp_path / "s.csv")
         values = np.random.default_rng(0).normal(size=50)
         # the header records the mode the file is written in
         write_series(path, values, {})
-        back, header = read_series(path)
+        back, n = read_series(path)
         np.testing.assert_array_equal(back, values)
-        assert header == {"mode": "increments"}
+        assert n is None
+        assert open(path).readline() == '# stablevar v1 {"mode": "increments"}\n'
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = tmp_path / "s.csv"
-        path.write_text("1.0\n\n# note\n2.0\n")
-        back, header = read_series(str(path))
-        np.testing.assert_array_equal(back, [1.0, 2.0])
-        assert header == {}
+        # a file with no header holds levels
+        path.write_text("1.0\n\n# note\n2.5\n")
+        back, n = read_series(str(path))
+        np.testing.assert_array_equal(back, [0.0, 1.5])
+        assert n is None
 
     @pytest.mark.parametrize("text", ["inf", "-inf", "nan"])
     def test_non_finite_value_rejected(self, tmp_path, text):
@@ -179,7 +212,14 @@ class TestEstimate:
         ("# stablevar v1 [1]\n1.0\n", "header JSON is not an object"),
         (b"1.0\n\xff\n", "not UTF-8 text"),
         (None, "Is a directory"),
-    ], ids=["non-object-header", "non-utf8", "directory"])
+        ('# stablevar v1 {"n": [50]}\n1.0\n', "line 1: header n [50] is not"),
+        ('# stablevar v1 {"n": 1.5}\n1.0\n', "line 1: header n 1.5 is not"),
+        ('# stablevar v1 {"n": 0}\n1.0\n', "line 1: header n 0 is not"),
+        ('# stablevar v1 {"n": true}\n1.0\n', "line 1: header n true is not"),
+        ('# stablevar v1 {"n": "50"}\n1.0\n', 'line 1: header n "50" is not'),
+        ('# stablevar v1 {"mode": "windows"}\n1.0\n', 'line 1: header mode "windows" is not'),
+    ], ids=["non-object-header", "non-utf8", "directory", "n-list", "n-fraction", "n-zero",
+            "n-bool", "n-string", "unknown-mode"])
     def test_unreadable_input_exits_3(self, tmp_path, capsys, content, problem):
         inp = tmp_path / "in.csv"
         if content is None:
@@ -195,14 +235,14 @@ class TestEstimate:
 
     def test_levels_input_matches_increments(self, tmp_path):
         # a levels file, written by hand, fits exactly as the increments file
-        # of np.diff(levels, prepend=levels[0]), the differencing block_split
+        # of np.diff(levels, prepend=levels[0]), the differencing read_series
         # applies to levels
         levels = np.cumsum(np.random.default_rng(3).standard_cauchy(size=24 * 50))
         lv = tmp_path / "levels.csv"
         lv.write_text('# stablevar v1 {"mode": "levels", "n": 50}\n'
                       + "".join(f"{float(v)!r}\n" for v in levels))
         inc = str(tmp_path / "inc.csv")
-        write_series(inc, np.diff(levels, prepend=levels[0]), {"mode": "increments", "n": 50})
+        write_series(inc, np.diff(levels, prepend=levels[0]), {"n": 50})
         for name in ("levels", "inc"):
             assert run(["estimate", "--input", str(tmp_path / f"{name}.csv"),
                         "--output", str(tmp_path / name)]) == 0
@@ -323,3 +363,11 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             run([])
         assert exc.value.code == 2
+
+    def test_mode_flag_rejected(self, tmp_path, capsys):
+        # the file's header alone says whether it holds levels or increments
+        with pytest.raises(SystemExit) as exc:
+            run(["estimate", "--input", str(tmp_path / "s.csv"), "--output",
+                 str(tmp_path / "e"), "--mode", "levels"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --mode levels" in capsys.readouterr().err
