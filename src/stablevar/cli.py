@@ -47,7 +47,9 @@ def write_series(path: str, values: np.ndarray, config: dict) -> None:
 def read_series(path: str) -> tuple[np.ndarray, int | None]:
     """Return the file's increments and its header's block size n (or None).
     Levels (header mode "levels", or no mode) are differenced here as
-    np.diff(values, prepend=values[0]), so the first increment is zero."""
+    np.diff(values, prepend=values[0]), so the first increment is zero; a
+    level whose difference from the one before overflows is a parse error
+    on its line."""
     config: dict = {}
     values = []
     with open(path, "rb") as fh:
@@ -71,6 +73,7 @@ def read_series(path: str) -> tuple[np.ndarray, int | None]:
     n = config.get("n")
     if "n" in config and (type(n) is not int or n < 1):
         raise CSVParseError(1, f"header n {json.dumps(n)} is not an integer >= 1")
+    line_nos = []
     for k, line in enumerate(raw[start:], start=start + 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -91,11 +94,17 @@ def read_series(path: str) -> tuple[np.ndarray, int | None]:
         except ValueError as exc:
             raise CSVParseError(k, str(exc)) from exc
         values.append(value)
+        line_nos.append(k)
     if not values:
         raise CSVParseError(len(raw) + 1, "no data lines found")
     values = np.asarray(values)
     if mode == "levels":
-        values = np.diff(values, prepend=values[0])
+        # finite levels near the float64 limit can have an infinite difference
+        with np.errstate(over="ignore"):
+            values = np.diff(values, prepend=values[0])
+        overflow = np.flatnonzero(~np.isfinite(values))
+        if overflow.size:
+            raise CSVParseError(line_nos[overflow[0]], "difference from the previous level is not finite")
     return values, n
 
 

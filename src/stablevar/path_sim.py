@@ -1,6 +1,7 @@
-"""Uniform-grid sample paths of X_t = x + int_0^t f(X_s) ds + L_t: one
-generator of stable Levy grid increments (levy_increments), one vectorized
-Euler kernel (euler), and the Levy and SDE paths built on them."""
+"""Uniform-grid sample paths of X_t = x + int_0^t f(X_s) ds + L_t: one law
+of stable Levy grid increments (levy_increments, or levy_increment_draws in
+column chunks), one vectorized Euler kernel (euler), and the Levy and SDE
+paths built on them."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from stablevar.stable_law import RandomStream, StableParams, sample_stable
+from stablevar.stable_law import RandomStream, StableDraws, StableParams, sample_stable
 
 
 @dataclass(frozen=True)
@@ -52,31 +53,60 @@ class DriftSpec:
         return np.cos(x)
 
 
+def _grid_law(params: StableParams, n: int, T: float) -> tuple[StableParams, int]:
+    """S_alpha(C n^{-1/alpha}, beta, 0), the exact law of one increment of the
+    Levy path on the grid {k/n} for every alpha and beta, and the number of
+    increments floor(n*T) over [0, T]."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if T <= 0:
+        raise ValueError("T must be positive")
+    return replace(params, scale_C=params.scale_C * n ** (-1.0 / params.alpha)), int(math.floor(n * T))
+
+
 def levy_increments(
     params: StableParams, n: int, streams: list[RandomStream], T: float = 1.0
 ) -> np.ndarray:
     """Grid increments of independent stable Levy paths on {k/n}, k <= n*T:
     an (len(streams), floor(n*T)) array whose row i holds stream i's i.i.d.
-    draws of S_alpha(C n^{-1/alpha}, beta, 0), the exact law of one grid
-    increment for every alpha and beta."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if T <= 0:
-        raise ValueError("T must be positive")
-    k_max = int(math.floor(n * T))
-    step = replace(params, scale_C=params.scale_C * n ** (-1.0 / params.alpha))
+    draws of the grid-increment law (_grid_law)."""
+    step, k_max = _grid_law(params, n, T)
     out = np.empty((len(streams), k_max))
     for i, stream in enumerate(streams):
         out[i] = sample_stable(step, stream, size=k_max)
     return out
 
 
-def euler(x0: float, drift: DriftSpec, dL: np.ndarray, n_fine: int, n_obs: int) -> np.ndarray:
+def levy_increment_draws(
+    params: StableParams, n: int, streams: list[RandomStream], T: float = 1.0
+) -> StableDraws:
+    """levy_increments in column chunks: StableDraws whose fills of widths
+    adding up to floor(n*T) give, side by side, levy_increments(params, n,
+    streams, T) bit for bit."""
+    step, k_max = _grid_law(params, n, T)
+    return StableDraws(step, streams, k_max)
+
+
+def euler(
+    x0: float | np.ndarray,
+    drift: DriftSpec,
+    dL: np.ndarray,
+    n_fine: int,
+    n_obs: int,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Explicit Euler for X_t = x0 + int f(X_s) ds + L_t, one path per row of
     the fine-grid increments dL (spacing 1/n_fine), vectorized across rows.
     Returns the increments X_{j/n_obs} - X_{(j-1)/n_obs} on the observation
     grid: an (m, floor(n_obs*T)) array when dL holds the increments over
-    [0, T]."""
+    [0, T], written into out when out is given. out may be dL itself, since
+    each step reads its increments before any is overwritten.
+
+    x0 is either a float, the start of every row, or an (m,) float array of
+    per-row states that this call leaves holding each row's value after the
+    last step of dL. Calling again with that array and the next increments
+    continues the paths bit for bit; dL must then span whole observation
+    steps."""
     if n_obs < 1:
         raise ValueError("n_obs must be >= 1")
     if n_fine % n_obs != 0:
@@ -84,13 +114,18 @@ def euler(x0: float, drift: DriftSpec, dL: np.ndarray, n_fine: int, n_obs: int) 
     m, k_max = dL.shape
     h = 1.0 / n_fine
     step = n_fine // n_obs
-    out = np.empty((m, k_max // step))
-    x = seen = np.full(m, float(x0))
+    if isinstance(x0, np.ndarray) and k_max % step != 0:
+        raise ValueError(f"{k_max} fine steps do not continue a path: not a multiple of {step}")
+    if out is None:
+        out = np.empty((m, k_max // step))
+    x = seen = np.full(m, x0, dtype=float)
     for k in range(k_max):
         x = x + drift(x) * h + dL[:, k]
         if (k + 1) % step == 0:
-            out[:, k // step] = x - seen
+            np.subtract(x, seen, out=out[:, k // step])
             seen = x
+    if isinstance(x0, np.ndarray):
+        x0[...] = x
     return out
 
 

@@ -4,6 +4,7 @@ the limiting stable law with a two-sample KS test."""
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
@@ -14,7 +15,7 @@ from types import MappingProxyType
 import numpy as np
 
 from stablevar.limit_law import sample_limit
-from stablevar.path_sim import DriftSpec, euler, levy_increments
+from stablevar.path_sim import DriftSpec, euler, levy_increment_draws, levy_increments
 from stablevar.pvariation import compensator, terminal_pvariation
 from stablevar.stable_law import RandomStream, StableParams
 
@@ -36,17 +37,27 @@ def ks_threshold(m: int) -> float:
 
 
 BLOCK_VALUES = 200 * 10_000
-"""Grid increments held at once by the statistic functions (16 MB of
-float64), shared by all threads: each block draws
-max(1, BLOCK_VALUES // (n * workers)) streams of n steps."""
+"""Grid increments held at once by levy_statistic_sample (16 MB of float64),
+shared by all threads: each block draws max(1, BLOCK_VALUES // (n * workers))
+streams of n steps."""
 
-MIN_ROWS = 50
-"""The fewest streams a block holds when the pool could use more threads.
-path_sim.euler runs a few numpy calls per step for each block, holding
-the interpreter lock, so smaller blocks serialise more of it: per 10^4 steps
-a block took 39 ms at 1 row, 62 ms at 50 and 139 ms at 200 (2-vCPU x86-64).
-So the pool has at most BLOCK_VALUES // (n * MIN_ROWS) threads, and the
-threads together still hold BLOCK_VALUES increments."""
+CHUNK_STEPS = 1000
+"""Time steps that sde_statistic_pairs draws and Euler-steps at once, for
+all streams of a block. It is fixed, so the row sums, which are added chunk
+by chunk, do not depend on m or on the thread count. Each stream's draws
+are made 1000 at a time, so the threads spend little of their time waiting
+for the interpreter lock between them."""
+
+CHUNK_VALUES = 1000 * 1000
+"""Increments in sde_statistic_pairs's one chunk buffer (8 MB), shared by
+all threads: blocks of CHUNK_VALUES // min(n, CHUNK_STEPS) streams. The
+buffer is made on the calling thread, so it does not reuse the memory that
+levy_statistic_sample's pool threads freed, and a verify round's peak RSS
+rises by about its size."""
+
+TASK_ROWS = 64
+"""Streams that one pool task of sde_statistic_pairs draws a chunk of, or
+sums a chunk's |x|^p over, in scratch arrays of its own (512 kB each)."""
 
 
 def _workers() -> int:
@@ -58,23 +69,26 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _map_blocks(m: int, n: int, fill) -> None:
-    """Call fill(lo, hi) for consecutive blocks of the m streams of n steps, on
-    one thread per usable core, up to the threads that keep MIN_ROWS streams
-    in a block. Each fill writes its own disjoint slice of the caller's
-    outputs, and every stream is a pure function of its index, so the result
-    does not depend on the partition or the thread count. The first
-    exception raised in a block reaches the caller; blocks not yet started
-    are cancelled."""
-    workers = max(1, min(_workers(), BLOCK_VALUES // (n * MIN_ROWS)))
-    rows = max(1, BLOCK_VALUES // (n * workers))
-    los = range(0, m, rows)
+@contextlib.contextmanager
+def _thread_pool(workers: int):
+    """A pool of the given number of threads. On leaving, tasks not yet
+    started are cancelled."""
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
-        for _ in pool.map(fill, los, [min(lo + rows, m) for lo in los]):
-            pass
+        yield pool
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def _map_rows(pool: ThreadPoolExecutor, m: int, rows: int, fill) -> None:
+    """Call fill(lo, hi) on the pool for consecutive blocks of up to `rows`
+    of m rows. Each fill writes its own disjoint slice of the caller's
+    outputs, and every stream is a pure function of its index, so the result
+    does not depend on the partition or the thread count. The first
+    exception raised in a block reaches the caller."""
+    los = range(0, m, rows)
+    for _ in pool.map(fill, los, [min(lo + rows, m) for lo in los]):
+        pass
 
 
 def _check_stream_sizes(n: int, m: int) -> None:
@@ -116,7 +130,9 @@ def levy_statistic_sample(
         for k, p in enumerate(shifted_ps, len(ps)):
             out[k, lo:hi] = terminal_pvariation(dL, p)
 
-    _map_blocks(m, n, fill)
+    workers = _workers()
+    with _thread_pool(workers) as pool:
+        _map_rows(pool, m, max(1, BLOCK_VALUES // (n * workers)), fill)
     return out
 
 
@@ -160,21 +176,41 @@ def sde_statistic_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-stream pairs (V_p^n(X)_1, V_p^n(L)_1) where L is the stable Levy
     path on the grid of spacing 1/n and X the Euler solution from X_0 = 0
-    with the given drift, driven by the same grid increments."""
+    with the given drift, driven by the same grid increments.
+
+    Blocks of up to CHUNK_VALUES // min(n, CHUNK_STEPS) streams are walked
+    in chunks of CHUNK_STEPS steps through one chunk buffer. For each chunk,
+    pool tasks of TASK_ROWS streams draw the increments dL and add each
+    row's sum of |dL|^p to its total; one euler call on this thread steps
+    every row of the block through the chunk, overwriting dL with the Euler
+    increments dX; and pool tasks add the rows' sums of |dX|^p. A row's sums
+    over n > CHUNK_STEPS steps are thus sums of chunk sums, which differ from
+    one pairwise sum over the row only in the last bits."""
     _check_stream_sizes(n, m)
-    v_sde = np.empty(m)
-    v_levy = np.empty(m)
+    v_sde = np.zeros(m)
+    v_levy = np.zeros(m)
+    width = min(n, CHUNK_STEPS)
+    rows = max(1, min(m, CHUNK_VALUES // width))
+    buf = np.empty(rows * width)
+    with _thread_pool(_workers()) as pool:
+        for lo in range(0, m, rows):
+            block = min(rows, m - lo)
+            draws = levy_increment_draws(params, n, [RandomStream(seed, lo + i) for i in range(block)])
+            x = np.zeros(block)
+            for k in range(0, n, CHUNK_STEPS):
+                steps = min(CHUNK_STEPS, n - k)
+                dL = buf[:block * steps].reshape(block, steps)
 
-    def fill(lo, hi):
-        dL = levy_increments(params, n, [RandomStream(seed, i) for i in range(lo, hi)])
-        v_levy[lo:hi] = terminal_pvariation(dL, p)
-        # dL is dropped before the |x|^p buffer of dX is made, so a block
-        # holds two arrays of its size at a time, not three
-        dX = euler(0.0, drift, dL, n, n)
-        del dL
-        v_sde[lo:hi] = terminal_pvariation(dX, p)
+                def draw(a, b):
+                    draws.fill(dL[a:b], a)
+                    v_levy[lo + a:lo + b] += terminal_pvariation(dL[a:b], p)
 
-    _map_blocks(m, n, fill)
+                def add_sde_sums(a, b):
+                    v_sde[lo + a:lo + b] += terminal_pvariation(dL[a:b], p)
+
+                _map_rows(pool, block, TASK_ROWS, draw)
+                euler(x, drift, dL, n, n, out=dL)
+                _map_rows(pool, block, TASK_ROWS, add_sde_sums)
     return v_sde, v_levy
 
 

@@ -63,32 +63,109 @@ class RandomStream:
         if self.stream_index < 0:
             raise ValueError("stream_index must be non-negative")
 
-    def generator(self) -> np.random.Generator:
-        """Fresh counter-based generator positioned at the stream start."""
+    def generator(self, skip: int = 0) -> np.random.Generator:
+        """Fresh counter-based generator positioned after the stream's first
+        skip 64-bit outputs, as if skip uniform doubles had been drawn."""
         key = np.array([self.seed % 2**64, self.stream_index], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        bits = np.random.Philox(key=key)
+        # Philox makes four outputs per counter step
+        bits.advance(skip // 4)
+        bits.random_raw(skip % 4)
+        return np.random.Generator(bits)
 
 
-def _cms_standard(alpha: float, beta: float, rng: np.random.Generator, size) -> np.ndarray:
-    """Chambers-Mallows-Stuck draws from S_alpha(1, beta, 0) in this module's
-    parametrization, alpha = 1 included."""
-    v = (rng.uniform(size=size) - 0.5) * math.pi
-    w = rng.exponential(size=size)
+def _cms_standard(alpha: float, beta: float, v: np.ndarray, w: np.ndarray, t: np.ndarray) -> None:
+    """Chambers-Mallows-Stuck transform, in place, to S_alpha(1, beta, 0) in
+    this module's parametrization, alpha = 1 included: v holds the uniform
+    angles on (-pi/2, pi/2) and receives the draws, w holds the standard
+    exponentials, and w and t (the shape of v) are overwritten. Every
+    operation is the elementwise one of the textbook formula, in its order,
+    so the draws do not depend on how the caller splits the arrays."""
     if abs(alpha - 1.0) < ALPHA_ONE_TOL:
-        bv = math.pi / 2.0 - beta * v
-        return (2.0 / math.pi) * (
-            bv * np.tan(v) + beta * np.log((math.pi / 2.0) * w * np.cos(v) / bv)
-        )
+        # (2/pi) (bv tan v + beta log((pi/2) w cos v / bv)), bv = pi/2 - beta v
+        w *= math.pi / 2.0
+        np.cos(v, out=t)
+        w *= t
+        np.multiply(v, beta, out=t)
+        np.subtract(math.pi / 2.0, t, out=t)
+        w /= t
+        np.log(w, out=w)
+        w *= beta
+        np.tan(v, out=v)
+        v *= t
+        v += w
+        v *= 2.0 / math.pi
+        return
+    # s sin(a) / cos(v)^(1/alpha) * (cos(v - a) / w)^((1 - alpha)/alpha),
+    # a = alpha (v + b); a is formed twice rather than held in a fourth buffer
     zeta = beta * math.tan(math.pi * alpha / 2.0)
     b = math.atan(zeta) / alpha
     s = (1.0 + zeta * zeta) ** (1.0 / (2.0 * alpha))
-    x = (
-        s
-        * np.sin(alpha * (v + b))
-        / np.cos(v) ** (1.0 / alpha)
-        * (np.cos(v - alpha * (v + b)) / w) ** ((1.0 - alpha) / alpha)
-    )
-    return x
+    np.add(v, b, out=t)
+    t *= alpha
+    np.subtract(v, t, out=t)
+    np.cos(t, out=t)
+    np.divide(t, w, out=w)
+    w **= (1.0 - alpha) / alpha
+    np.add(v, b, out=t)
+    t *= alpha
+    np.sin(t, out=t)
+    t *= s
+    np.cos(v, out=v)
+    v **= 1.0 / alpha
+    np.divide(t, v, out=v)
+    v *= w
+
+
+class StableDraws:
+    """Successive column chunks of sample_stable(params, stream, size), one
+    row per stream: fills of widths k_1, k_2, ... that add up to size give
+    row i exactly the draws of sample_stable(params, streams[i], size).
+
+    Each stream has its own generators, so threads may fill disjoint rows at
+    the same time. CMS draws take size uniforms, then size exponentials, from
+    the stream; the exponentials come from a second generator that starts
+    where the uniforms end."""
+
+    def __init__(self, params: StableParams, streams: list[RandomStream], size: int):
+        self.params = params
+        self.size = size
+        self._drawn = np.zeros(len(streams), dtype=np.int64)
+        if params.alpha == 2.0:
+            self._generators = [(s.generator(),) for s in streams]
+        else:
+            self._generators = [(s.generator(), s.generator(skip=size)) for s in streams]
+
+    def fill(self, out: np.ndarray, lo: int = 0) -> None:
+        """Write the next out.shape[1] draws of streams lo .. lo + len(out) - 1
+        into the rows of out, a C-contiguous 2-D float64 array, using two
+        scratch arrays of its size. Raises ValueError if that would take a
+        stream past size draws, where its uniforms would run into its
+        exponentials."""
+        a, c, beta = self.params.alpha, self.params.scale_C, self.params.beta
+        rows, k = out.shape
+        drawn = self._drawn[lo:lo + rows]
+        if len(drawn) != rows or rows and drawn.max() + k > self.size:
+            raise ValueError(f"{k} more draws of streams {lo} .. {lo + rows - 1} exceed size={self.size}")
+        drawn += k
+        generators = self._generators[lo:lo + rows]
+        if a == 2.0:
+            for row, (normal,) in zip(out, generators):
+                row[:] = normal.normal(0.0, math.sqrt(2.0) * c, size=k)
+            return
+        w, t = np.empty((2, rows, k))
+        for v_row, w_row, (uniform, exponential) in zip(out, w, generators):
+            uniform.random(out=v_row)
+            exponential.standard_exponential(out=w_row)
+        out -= 0.5
+        out *= math.pi
+        _cms_standard(a, beta, out, w, t)
+        out *= c
+        if abs(a - 1.0) < ALPHA_ONE_TOL:
+            # at alpha = 1 scaling is not closed under the log term: C times
+            # an S_1(1, beta, 0) draw is S_1(C, beta, 0) shifted by
+            # (2/pi) beta C log C (Samorodnitsky & Taqqu 1994, Property 1.2.3)
+            out -= (2.0 / math.pi) * beta * c * math.log(c)
 
 
 def sample_stable(params: StableParams, stream: RandomStream, size) -> np.ndarray:
@@ -96,16 +173,9 @@ def sample_stable(params: StableParams, stream: RandomStream, size) -> np.ndarra
 
     The draw sequence is a pure function of (params, stream).
     """
-    rng = stream.generator()
-    a, c, beta = params.alpha, params.scale_C, params.beta
-    if a == 2.0:
-        return rng.normal(0.0, math.sqrt(2.0) * c, size=size)
-    if abs(a - 1.0) < ALPHA_ONE_TOL:
-        # at alpha = 1 scaling is not closed under the log term: C times an
-        # S_1(1, beta, 0) draw is S_1(C, beta, 0) shifted by (2/pi) beta C log C
-        # (Samorodnitsky & Taqqu 1994, Property 1.2.3)
-        return c * _cms_standard(1.0, beta, rng, size) - (2.0 / math.pi) * beta * c * math.log(c)
-    return c * _cms_standard(a, beta, rng, size)
+    out = np.empty(size)
+    StableDraws(params, [stream], out.size).fill(out.reshape(1, -1))
+    return out
 
 
 def _log_cos(w: complex) -> complex:

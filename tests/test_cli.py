@@ -78,6 +78,15 @@ class TestSeriesIO:
             read_series(str(path))
         assert exc.value.line_no == 3
 
+    def test_overflowing_level_difference_rejected(self, tmp_path):
+        # finite levels whose difference overflows to +-inf: the first such
+        # difference is on line 3, the second level after the header
+        path = tmp_path / "s.csv"
+        path.write_text('# stablevar v1 {"mode": "levels"}\n1e308\n-1e308\n1e308\n')
+        with pytest.raises(CSVParseError, match="previous level is not finite") as exc:
+            read_series(str(path))
+        assert exc.value.line_no == 3
+
     def test_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("1.0\nnot-a-number\n")
@@ -218,8 +227,9 @@ class TestEstimate:
         ('# stablevar v1 {"n": true}\n1.0\n', "line 1: header n true is not"),
         ('# stablevar v1 {"n": "50"}\n1.0\n', 'line 1: header n "50" is not'),
         ('# stablevar v1 {"mode": "windows"}\n1.0\n', 'line 1: header mode "windows" is not'),
+        ("1.0\n" + "1e308\n-1e308\n" * 2500, "line 3: difference from the previous level"),
     ], ids=["non-object-header", "non-utf8", "directory", "n-list", "n-fraction", "n-zero",
-            "n-bool", "n-string", "unknown-mode"])
+            "n-bool", "n-string", "unknown-mode", "level-overflow"])
     def test_unreadable_input_exits_3(self, tmp_path, capsys, content, problem):
         inp = tmp_path / "in.csv"
         if content is None:

@@ -59,10 +59,12 @@ GOLDEN = {
         "20796d9cc7dd9d8b87c926f8d8b12220e0df14085568673f08c3845448476b82",
     "sde.cor-sde.levy":
         "24a71462c92879cc16c1c388457e69d33a336e1f99d7576e74b660f7cd31d2d5",
+    # n = 10^4 spans 10 chunks of scenarios.CHUNK_STEPS, whose sums are added
+    # chunk by chunk; the n = 300 digests above span one chunk
     "sde.cor-sde.two-blocks.sde":
-        "e790af76777a296b890508f6ba97b637d44a6a44d02f74a2914b3d33200a7e21",
+        "8d143c5132bd8f1b33591d0c002ac48e87f87b05d704ddd2908780ad3b8b8f39",
     "sde.cor-sde.two-blocks.levy":
-        "ecfd6f710828353dd0d95915adcc72e0c16541f3d168d25c8b158361bcd125c0",
+        "7f186d421429bf30bd39c67b400626dbd558ccb588e24a1ad2d08827e35b1d38",
     "simulate_levy.a075":
         "8d93f544e3640e4ffb147c3c14264f5ac20267f49d402b0ce0a8c42f43ecc109",
     "simulate_levy.a15.T2":

@@ -10,6 +10,7 @@ from stablevar.path_sim import (
     DriftSpec,
     PathSample,
     euler,
+    levy_increment_draws,
     levy_increments,
     simulate_levy,
     simulate_sde_batch,
@@ -26,6 +27,7 @@ P075 = StableParams(0.75, 6.35)
 P2 = StableParams(2.0, 1.0)
 P15 = StableParams(1.5, 1.0)
 P1_SKEWED = StableParams(1.0, 1.0, 0.8)
+COS = DriftSpec("cosine")
 
 
 class TestSimulateLevy:
@@ -179,6 +181,54 @@ class TestEuler:
         got = euler(x0, drift, dL, n_fine, n_obs)
         assert got.shape == (m, k_max // step)
         np.testing.assert_array_equal(got, np.diff(reference_levels(x0, drift, dL, n_fine, n_obs)))
+
+
+class TestChunkedPaths:
+    # deterministic: fixed seeds and exact comparisons, so no false-failure rate
+
+    @pytest.mark.parametrize("params", [P075, P2, P1_SKEWED], ids=["a075", "a2", "a1-skewed"])
+    @pytest.mark.parametrize("widths, step", [
+        ((7, 13, 1, 42), 1),  # 63 fine steps: neither a multiple of 4 nor of a chunk
+        ((8, 4, 24, 12), 4),  # chunks of whole observation steps
+    ])
+    def test_resumed_chunks_equal_one_shot(self, params, widths, step):
+        # levy_increment_draws continues levy_increments across chunks, and
+        # euler continues its paths from the state array it leaves behind,
+        # also when it overwrites the chunk with its output
+        n_fine, m, T = 32, 5, sum(widths) / 32
+        streams = [RandomStream(8, i) for i in range(m)]
+        dL_one = levy_increments(params, n_fine, streams, T)
+        dX_one = euler(0.3, COS, dL_one, n_fine, n_fine // step)
+        draws = levy_increment_draws(params, n_fine, streams, T)
+        x, x_in_place = np.full(m, 0.3), np.full(m, 0.3)
+        dL_parts, dX_parts, in_place_parts = [], [], []
+        for width in widths:
+            dL = np.empty((m, width))
+            draws.fill(dL[:2])
+            draws.fill(dL[2:], lo=2)
+            dL_parts.append(dL.copy())
+            dX_parts.append(euler(x, COS, dL, n_fine, n_fine // step))
+            in_place_parts.append(euler(x_in_place, COS, dL, n_fine, n_fine // step, out=dL))
+        np.testing.assert_array_equal(np.hstack(dL_parts), dL_one)
+        np.testing.assert_array_equal(np.hstack(dX_parts), dX_one)
+        if step == 1:
+            np.testing.assert_array_equal(np.hstack(in_place_parts), dX_one)
+        np.testing.assert_array_equal(x, x_in_place)
+
+    def test_state_is_the_last_level(self):
+        # per-row starts, and the state left behind is each row's last level
+        dL = np.random.default_rng(4).standard_cauchy((3, 12)) / 12
+        starts = [0.0, 1.0, -2.0]
+        x = np.array(starts)
+        dX = euler(x, COS, dL, 12, 3)
+        for i, start in enumerate(starts):
+            levels = reference_levels(start, COS, dL[i:i + 1], 12, 3)[0]
+            np.testing.assert_array_equal(dX[i], np.diff(levels))
+            assert x[i] == levels[-1]
+
+    def test_state_rejects_partial_observation_step(self):
+        with pytest.raises(ValueError, match="not a multiple of 4"):
+            euler(np.zeros(2), COS, np.zeros((2, 6)), 8, 2)
 
 
 class TestAddPerturbation:

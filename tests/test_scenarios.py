@@ -1,6 +1,7 @@
 """The scenario statistics run their stream blocks on a thread pool. These
-tests are deterministic (fixed seeds, exact comparisons), so they have no
-false-failure rate; TestScenarioPower states its own."""
+tests are deterministic (fixed seeds, exact comparisons or comparisons
+within a fixed rounding tolerance), so they have no false-failure rate;
+TestScenarioPower states its own."""
 
 import dataclasses
 import math
@@ -12,8 +13,8 @@ import pytest
 
 from stablevar import scenarios
 from stablevar.limit_law import limit_scale, sample_limit
-from stablevar.path_sim import DriftSpec
-from stablevar.pvariation import compensator
+from stablevar.path_sim import DriftSpec, euler, levy_increments
+from stablevar.pvariation import compensator, terminal_pvariation
 from stablevar.scenarios import (
     levy_statistic_sample,
     run_scenario,
@@ -71,9 +72,11 @@ class TestBlockPartition:
     def test_independent_of_partition_and_workers(self, monkeypatch, fast_switching,
                                                   name, workers):
         expected = CASES[name]()
-        # five rows' worth: blocks of 5, 2 and 1 streams, run 1-3 at a time
+        # five rows' worth: blocks of 5, 2 and 1 streams, run 1-3 at a time;
+        # the cor-sde pool tasks hold 2 streams
         monkeypatch.setattr(scenarios, "BLOCK_VALUES", 5 * N)
-        monkeypatch.setattr(scenarios, "MIN_ROWS", 1)
+        monkeypatch.setattr(scenarios, "CHUNK_VALUES", 5 * N)
+        monkeypatch.setattr(scenarios, "TASK_ROWS", 2)
         monkeypatch.setattr(scenarios, "_workers", lambda: workers)
         got = CASES[name]()
         for e, g in zip(np.atleast_2d(expected), np.atleast_2d(got)):
@@ -82,7 +85,6 @@ class TestBlockPartition:
     @pytest.mark.parametrize("workers", [1, 3])
     def test_block_exception_reaches_caller(self, monkeypatch, workers):
         monkeypatch.setattr(scenarios, "BLOCK_VALUES", 2 * N)
-        monkeypatch.setattr(scenarios, "MIN_ROWS", 1)
         monkeypatch.setattr(scenarios, "_workers", lambda: workers)
         with pytest.raises(ValueError, match="p must be positive"):
             levy_statistic_sample(P15, 60, M, 3, (0.0,))
@@ -98,28 +100,32 @@ class TestBlockMemory:
                                                 multiple):
         n = 15 * multiple
         calls = []
-        draw = scenarios.levy_increments
+        for name in ("levy_increments", "levy_increment_draws"):
+            draw = getattr(scenarios, name)
 
-        def spy(params, n, streams, *args, **kwargs):
-            calls.append((n, [s.stream_index for s in streams]))
-            return draw(params, n, streams, *args, **kwargs)
+            def spy(params, n, streams, *args, draw=draw, **kwargs):
+                calls.append((n, [s.stream_index for s in streams]))
+                return draw(params, n, streams, *args, **kwargs)
 
-        monkeypatch.setattr(scenarios, "levy_increments", spy)
+            monkeypatch.setattr(scenarios, name, spy)
         monkeypatch.setattr(scenarios, "BLOCK_VALUES", rows_worth * n)
-        monkeypatch.setattr(scenarios, "MIN_ROWS", 1)
+        monkeypatch.setattr(scenarios, "CHUNK_VALUES", rows_worth * n)
         monkeypatch.setattr(scenarios, "_workers", lambda: workers)
-        for statistic in (
-            lambda: sde_statistic_pairs(P075, COS, 1.5, n, M, seed=4),
-            lambda: levy_statistic_sample(P15, n, M, 3, (1.0,)),
+        for statistic, values_per_row, values in (
+            # cor-sde: the threads share one chunk buffer, n < CHUNK_STEPS
+            (lambda: sde_statistic_pairs(P075, COS, 1.5, n, M, seed=4), n, "CHUNK_VALUES"),
+            # each thread holds its own block
+            (lambda: levy_statistic_sample(P15, n, M, 3, (1.0,)), n * workers, "BLOCK_VALUES"),
         ):
+            held = getattr(scenarios, values)
             calls.clear()
             statistic()
             # each stream is drawn exactly once
             assert sorted(i for _, idx in calls for i in idx) == list(range(M))
             for n_drawn, idx in calls:
                 assert n_drawn == n
-                if n * workers <= scenarios.BLOCK_VALUES:
-                    assert len(idx) * n * workers <= scenarios.BLOCK_VALUES
+                if values_per_row <= held:
+                    assert len(idx) * values_per_row <= held
                 else:
                     assert len(idx) == 1
 
@@ -228,51 +234,107 @@ class TestBlockPeak:
         assert peak < 2.5 * m * n * 8
 
 
-def record_blocks(monkeypatch, m, n):
-    """Run _map_blocks with a fill that only records its blocks; return the
-    pool size and the block sizes."""
-    pools, sizes = [], []
+class TestSdePeak:
+    def test_peak_does_not_grow_with_n(self):
+        # cor-sde holds one chunk buffer of CHUNK_STEPS steps per stream and
+        # per-task scratch, whatever n is
+        m, width = 40, scenarios.CHUNK_STEPS
+        peaks = []
+        for n in (2 * width, 20 * width):
+            tracemalloc.start()
+            try:
+                sde_statistic_pairs(P075, COS, 1.5, n, m, seed=4)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.1 * peaks[0]
+        # under a quarter of the m rows of 20 * CHUNK_STEPS increments
+        assert peaks[1] < m * 20 * width * 8 / 4
+
+
+def record_chunks(monkeypatch, m, n):
+    """Run sde_statistic_pairs with draws, Euler and sums stubbed out; return
+    the pool size and the (rows, steps) of each euler call."""
+    pools, chunks = [], []
     pool = scenarios.ThreadPoolExecutor
+
+    class NoDraws:
+        def fill(self, out, lo=0):
+            pass
 
     def spy(max_workers):
         pools.append(max_workers)
         return pool(max_workers=max_workers)
 
     monkeypatch.setattr(scenarios, "ThreadPoolExecutor", spy)
-    scenarios._map_blocks(m, n, lambda lo, hi: sizes.append((lo, hi - lo)))
+    monkeypatch.setattr(scenarios, "levy_increment_draws", lambda *args: NoDraws())
+    monkeypatch.setattr(scenarios, "euler", lambda x, drift, dL, *args, **kwargs: chunks.append(dL.shape))
+    monkeypatch.setattr(scenarios, "terminal_pvariation", lambda dL, p: np.zeros(len(dL)))
+    sde_statistic_pairs(P075, COS, 1.5, n, m, seed=4)
     (threads,) = pools
-    return threads, [size for _, size in sorted(sizes)]
+    return threads, chunks
 
 
 class TestBlockFloor:
-    # path_sim.euler pays a fixed cost per block and step under the
-    # interpreter lock, so many cores must not shrink the blocks without end
+    # path_sim.euler pays a fixed cost per step and call under the
+    # interpreter lock, so cor-sde steps blocks of CHUNK_VALUES // CHUNK_STEPS
+    # streams, whatever the number of cores
 
     @pytest.mark.parametrize("rows_worth", [2, 8, 20])
     @pytest.mark.parametrize("workers", [1, 4, 16, 200])
     def test_blocks_keep_min_rows(self, monkeypatch, rows_worth, workers):
-        n, m = 15, 40
-        monkeypatch.setattr(scenarios, "MIN_ROWS", 3)
-        monkeypatch.setattr(scenarios, "BLOCK_VALUES", rows_worth * n)
+        width = scenarios.CHUNK_STEPS
+        m, n = 40, 2 * width + 3
+        monkeypatch.setattr(scenarios, "CHUNK_VALUES", rows_worth * width)
         monkeypatch.setattr(scenarios, "_workers", lambda: workers)
-        threads, sizes = record_blocks(monkeypatch, m, n)
-        assert 1 <= threads <= workers
-        assert sum(sizes) == m
-        for size in sizes:
-            assert size * n * threads <= scenarios.BLOCK_VALUES
-        # every block but the last holds MIN_ROWS streams, unless
-        # BLOCK_VALUES holds fewer
-        for size in sizes[:-1]:
-            assert size >= min(3, rows_worth)
+        threads, chunks = record_chunks(monkeypatch, m, n)
+        assert threads == workers
+        rows = [min(rows_worth, m - lo) for lo in range(0, m, rows_worth)]
+        # each block walks two full chunks and a partial one
+        assert chunks == [(r, steps) for r in rows for steps in (width, width, 3)]
 
     @pytest.mark.parametrize("workers", [2, 4, 16, 64])
     def test_verify_sizes_on_many_cores(self, monkeypatch, workers):
-        # the verify scenarios draw 2000 streams of 10^4 steps
+        # the verify scenarios draw 2000 streams of 10^4 steps: two blocks of
+        # 1000 streams, each stepped in 10 chunks of 1000 steps
         monkeypatch.setattr(scenarios, "_workers", lambda: workers)
-        threads, sizes = record_blocks(monkeypatch, 2000, 10_000)
-        assert threads == min(workers, 4)
-        assert min(sizes) >= scenarios.MIN_ROWS
-        assert max(sizes) * 10_000 * threads <= scenarios.BLOCK_VALUES
+        threads, chunks = record_chunks(monkeypatch, 2000, 10_000)
+        assert threads == workers
+        assert chunks == [(1000, 1000)] * 20
+        assert 1000 * scenarios.CHUNK_STEPS <= scenarios.CHUNK_VALUES
+
+
+class TestSdeStreams:
+    # stream i's pair is a function of (seed, i) alone
+
+    def test_pair_independent_of_m_threads_and_grouping(self, monkeypatch, fast_switching):
+        # three chunks, the last partial, n neither a multiple of 4 nor of
+        # CHUNK_STEPS
+        n = 2 * scenarios.CHUNK_STEPS + 203
+        expected = np.array(sde_statistic_pairs(P075, COS, 1.5, n, M, seed=4))
+        for m in (1, 6):
+            np.testing.assert_array_equal(
+                sde_statistic_pairs(P075, COS, 1.5, n, m, seed=4), expected[:, :m])
+        for workers, rows_worth, task_rows in ((1, 13, 64), (3, 5, 2), (2, 1, 1), (4, 4, 3)):
+            monkeypatch.setattr(scenarios, "_workers", lambda: workers)
+            monkeypatch.setattr(scenarios, "CHUNK_VALUES", rows_worth * scenarios.CHUNK_STEPS)
+            monkeypatch.setattr(scenarios, "TASK_ROWS", task_rows)
+            np.testing.assert_array_equal(
+                sde_statistic_pairs(P075, COS, 1.5, n, M, seed=4), expected)
+
+    @pytest.mark.parametrize("n", [60, 2 * scenarios.CHUNK_STEPS + 203])
+    def test_pair_matches_one_full_row_draw(self, n):
+        # the chunk sums add up to the sums over each full row to within
+        # rounding: 1e-13 relative bounds the error of adding at most a few
+        # dozen non-negative partial sums. At n <= CHUNK_STEPS they are equal.
+        v_sde, v_levy = sde_statistic_pairs(P075, COS, 1.5, n, M, seed=4)
+        dL = levy_increments(P075, n, [RandomStream(4, i) for i in range(M)])
+        np.testing.assert_allclose(v_levy, terminal_pvariation(dL, 1.5), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(
+            v_sde, terminal_pvariation(euler(0.0, COS, dL, n, n), 1.5), rtol=1e-13, atol=0)
+        if n <= scenarios.CHUNK_STEPS:
+            np.testing.assert_array_equal(v_levy, terminal_pvariation(dL, 1.5))
+            np.testing.assert_array_equal(v_sde, terminal_pvariation(euler(0.0, COS, dL, n, n), 1.5))
 
 
 class TestRunScenarioSizes:
@@ -281,7 +343,7 @@ class TestRunScenarioSizes:
         def no_blocks(*args):
             raise AssertionError("a block was drawn")
 
-        monkeypatch.setattr(scenarios, "_map_blocks", no_blocks)
+        monkeypatch.setattr(scenarios, "_map_rows", no_blocks)
         for name in scenarios.SCENARIOS:
             with pytest.raises(ValueError, match="m >= 5"):
                 run_scenario(name, m=m, n=n)
@@ -301,7 +363,8 @@ class TestStatisticSizes:
             raise AssertionError("a stream was drawn")
 
         monkeypatch.setattr(scenarios, "levy_increments", no_draws)
-        monkeypatch.setattr(scenarios, "_map_blocks", no_draws)
+        monkeypatch.setattr(scenarios, "levy_increment_draws", no_draws)
+        monkeypatch.setattr(scenarios, "_map_rows", no_draws)
         with pytest.raises(ValueError, match=match):
             levy_statistic_sample(P15, n, m, 3, (), (1.0,), math.sin)
         with pytest.raises(ValueError, match=match):

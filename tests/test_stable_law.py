@@ -8,7 +8,9 @@ from scipy.special import expi, gamma as gamma_fn
 from scipy.stats import kstest, ks_2samp, levy_stable, norm
 
 from stablevar.stable_law import (
+    ALPHA_ONE_TOL,
     RandomStream,
+    StableDraws,
     StableParams,
     abs_moment,
     sample_stable,
@@ -108,6 +110,84 @@ class TestSampling:
         c = sample_stable(p, RandomStream(11, 4), size=100)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+def textbook_cms(params: StableParams, stream: RandomStream, size: int) -> np.ndarray:
+    """Chambers-Mallows-Stuck as one expression per case, on size uniforms
+    and then size exponentials of one generator: the reference for the
+    in-place transform."""
+    rng = stream.generator()
+    a, c, beta = params.alpha, params.scale_C, params.beta
+    if a == 2.0:
+        return rng.normal(0.0, math.sqrt(2.0) * c, size=size)
+    v = (rng.uniform(size=size) - 0.5) * math.pi
+    w = rng.exponential(size=size)
+    if abs(a - 1.0) < ALPHA_ONE_TOL:
+        bv = math.pi / 2.0 - beta * v
+        x = (2.0 / math.pi) * (bv * np.tan(v) + beta * np.log((math.pi / 2.0) * w * np.cos(v) / bv))
+        return c * x - (2.0 / math.pi) * beta * c * math.log(c)
+    zeta = beta * math.tan(math.pi * a / 2.0)
+    b = math.atan(zeta) / a
+    s = (1.0 + zeta * zeta) ** (1.0 / (2.0 * a))
+    x = (s * np.sin(a * (v + b)) / np.cos(v) ** (1.0 / a)
+         * (np.cos(v - a * (v + b)) / w) ** ((1.0 - a) / a))
+    return c * x
+
+
+# alpha = 1 and alpha = 2 exactly, and alphas whose draws do not overflow
+DRAW_ALPHAS = st.one_of(st.just(1.0), st.just(2.0), st.floats(0.5, 1.99))
+DRAW_BETAS = st.one_of(st.just(0.0), st.floats(-1.0, 1.0))
+
+
+class TestStableDraws:
+    # deterministic: derandomized examples and exact comparisons, so no
+    # false-failure rate
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(DRAW_ALPHAS, DRAW_BETAS, st.floats(0.1, 10.0), st.integers(0, 3000),
+           st.integers(0, 2**32 - 1))
+    def test_sample_stable_is_the_textbook_formula(self, alpha, beta, c, size, seed):
+        params = StableParams(alpha, c, beta)
+        np.testing.assert_array_equal(
+            sample_stable(params, RandomStream(seed, 2), size),
+            textbook_cms(params, RandomStream(seed, 2), size))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(DRAW_ALPHAS, DRAW_BETAS, st.floats(0.1, 10.0),
+           st.lists(st.integers(1, 1500), min_size=1, max_size=6),
+           st.integers(0, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_chunks_concatenate_to_sample_stable(self, alpha, beta, c, widths, extra, rows,
+                                                 seed):
+        # chunk widths of any size, their total (plus 0-3 more steps in a
+        # last chunk) of any residue mod 4, the rows filled in two slices
+        params = StableParams(alpha, c, beta)
+        size = sum(widths) + extra
+        streams = [RandomStream(seed, i) for i in range(rows)]
+        draws = StableDraws(params, streams, size)
+        chunks = []
+        for width in widths + [extra]:
+            chunk = np.empty((rows, width))
+            draws.fill(chunk[:1])
+            draws.fill(chunk[1:], lo=1)
+            chunks.append(chunk)
+        got = np.hstack(chunks)
+        for i, stream in enumerate(streams):
+            np.testing.assert_array_equal(got[i], sample_stable(params, stream, size))
+
+    def test_filling_past_size_raises(self):
+        draws = StableDraws(StableParams(1.5, 1.0), [RandomStream(3, i) for i in range(3)], 10)
+        draws.fill(np.empty((3, 6)))
+        draws.fill(np.empty((1, 4)), lo=2)
+        with pytest.raises(ValueError, match="exceed size=10"):
+            draws.fill(np.empty((2, 5)), lo=1)
+        with pytest.raises(ValueError, match="exceed size=10"):
+            draws.fill(np.empty((2, 1)), lo=2)
+
+    def test_shaped_sample(self):
+        p = StableParams(1.2, 1.0, 0.3)
+        x = sample_stable(p, RandomStream(4), size=(3, 5))
+        assert x.shape == (3, 5)
+        np.testing.assert_array_equal(x.ravel(), sample_stable(p, RandomStream(4), size=15))
 
 
 class TestAbsMoment:
