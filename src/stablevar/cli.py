@@ -73,7 +73,6 @@ def read_series(path: str) -> tuple[np.ndarray, int | None]:
     n = config.get("n")
     if "n" in config and (type(n) is not int or n < 1):
         raise CSVParseError(1, f"header n {json.dumps(n)} is not an integer >= 1")
-    line_nos = []
     for k, line in enumerate(raw[start:], start=start + 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -91,20 +90,17 @@ def read_series(path: str) -> tuple[np.ndarray, int | None]:
                 value = float(fields[0])
             if not math.isfinite(value):
                 raise ValueError(f"non-finite value {value!r}")
+            # finite levels near the float64 limit can differ by more than it
+            if mode == "levels" and values and not math.isfinite(value - values[-1]):
+                raise ValueError("difference from the previous level is not finite")
         except ValueError as exc:
             raise CSVParseError(k, str(exc)) from exc
         values.append(value)
-        line_nos.append(k)
     if not values:
         raise CSVParseError(len(raw) + 1, "no data lines found")
     values = np.asarray(values)
     if mode == "levels":
-        # finite levels near the float64 limit can have an infinite difference
-        with np.errstate(over="ignore"):
-            values = np.diff(values, prepend=values[0])
-        overflow = np.flatnonzero(~np.isfinite(values))
-        if overflow.size:
-            raise CSVParseError(line_nos[overflow[0]], "difference from the previous level is not finite")
+        values = np.diff(values, prepend=values[0])
     return values, n
 
 

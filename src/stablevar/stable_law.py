@@ -124,17 +124,18 @@ class StableDraws:
 
     Each stream has its own generators, so threads may fill disjoint rows at
     the same time. CMS draws take size uniforms, then size exponentials, from
-    the stream; the exponentials come from a second generator that starts
-    where the uniforms end."""
+    the stream. A stream whose first fill takes all size draws continues one
+    generator from its uniforms to its exponentials, as a one-shot draw
+    does; otherwise the exponentials come from a second generator that
+    starts where the uniforms end."""
 
     def __init__(self, params: StableParams, streams: list[RandomStream], size: int):
         self.params = params
         self.size = size
+        self._streams = streams
         self._drawn = np.zeros(len(streams), dtype=np.int64)
-        if params.alpha == 2.0:
-            self._generators = [(s.generator(),) for s in streams]
-        else:
-            self._generators = [(s.generator(), s.generator(skip=size)) for s in streams]
+        self._generators = [s.generator() for s in streams]
+        self._exponentials: list[np.random.Generator | None] = [None] * len(streams)
 
     def fill(self, out: np.ndarray, lo: int = 0) -> None:
         """Write the next out.shape[1] draws of streams lo .. lo + len(out) - 1
@@ -148,15 +149,18 @@ class StableDraws:
         if len(drawn) != rows or rows and drawn.max() + k > self.size:
             raise ValueError(f"{k} more draws of streams {lo} .. {lo + rows - 1} exceed size={self.size}")
         drawn += k
-        generators = self._generators[lo:lo + rows]
         if a == 2.0:
-            for row, (normal,) in zip(out, generators):
+            for row, normal in zip(out, self._generators[lo:lo + rows]):
                 row[:] = normal.normal(0.0, math.sqrt(2.0) * c, size=k)
             return
         w, t = np.empty((2, rows, k))
-        for v_row, w_row, (uniform, exponential) in zip(out, w, generators):
+        for i, v_row, w_row in zip(range(lo, lo + rows), out, w):
+            uniform = self._generators[i]
             uniform.random(out=v_row)
-            exponential.standard_exponential(out=w_row)
+            if self._exponentials[i] is None:
+                self._exponentials[i] = (
+                    uniform if k == self.size else self._streams[i].generator(skip=self.size))
+            self._exponentials[i].standard_exponential(out=w_row)
         out -= 0.5
         out *= math.pi
         _cms_standard(a, beta, out, w, t)

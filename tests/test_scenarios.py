@@ -219,9 +219,9 @@ class TestBlockPeak:
         lambda m, n: scenarios._theorem_sample(3, m, n),
     ], ids=["sde", "levy-perturbed", "theorem-sample"])
     def test_block_holds_two_arrays_of_its_size(self, monkeypatch, statistic):
-        # one block on one thread holds its increments and one array of the
-        # same size at a time (the |x|^p buffer, or the Euler increments),
-        # plus per-row scratch
+        # one block on one thread holds its increments and one |x|^p buffer
+        # of the same size at a time, plus per-row scratch; cor-sde holds
+        # one chunk buffer and per-task scratch (TestSdePeak)
         m, n = 40, 2000
         monkeypatch.setattr(scenarios, "BLOCK_VALUES", m * n)
         monkeypatch.setattr(scenarios, "_workers", lambda: 1)
