@@ -113,16 +113,21 @@ def cmd_simulate(args) -> int:
                 f"{args.m}, n={args.n}, fine multiplier={args.fine_multiplier}, T={args.T!r}")
         if not math.isfinite(args.x0):
             raise ValueError(f"--x0 must be finite, got {args.x0!r}")
+        drift = DriftSpec("cosine" if args.drift == "cos" else "zero")
+        streams = [RandomStream(args.seed, i) for i in range(args.m)]
+        # a path that overflows is reported below, not warned about
+        with np.errstate(all="ignore"):
+            increments = simulate_sde_batch(
+                args.x0, drift, params,
+                n_fine=args.fine_multiplier * args.n, n_obs=args.n, T=args.T,
+                streams=streams,
+            )
+        bad = np.count_nonzero(~np.isfinite(increments))
+        if bad:
+            raise ValueError(f"{bad} of {increments.size} simulated increments are not finite")
     except ValueError as exc:
         print(f"infeasible simulation: {exc}", file=sys.stderr)
         return EXIT_GRID
-    drift = DriftSpec("cosine" if args.drift == "cos" else "zero")
-    streams = [RandomStream(args.seed, i) for i in range(args.m)]
-    increments = simulate_sde_batch(
-        args.x0, drift, params,
-        n_fine=args.fine_multiplier * args.n, n_obs=args.n, T=args.T,
-        streams=streams,
-    )
     config = {
         "alpha": args.alpha, "scale": args.scale, "beta": args.beta,
         "n": args.n, "m": args.m, "T": args.T, "seed": args.seed,
@@ -235,11 +240,13 @@ def _write_fixed_c(path, fixed):
 
 
 def _write_gnuplot(path, base):
+    # gnuplot writes a ' inside a single-quoted string as ''
+    quoted = base.replace("'", "''")
     script = (
         "set datafile separator ','\n"
         "set xlabel 'alpha = p/2'\n"
         "set ylabel 'D'\n"
-        f"plot '{base}.slice.csv' using 2:4 skip 1 with lines title 'D_n(C*, p/2)'\n"
+        f"plot '{quoted}.slice.csv' using 2:4 skip 1 with lines title 'D_n(C*, p/2)'\n"
     )
     with open(path, "w") as fh:
         fh.write(script)

@@ -56,12 +56,18 @@ class DriftSpec:
 def _grid_law(params: StableParams, n: int, T: float) -> tuple[StableParams, int]:
     """S_alpha(C n^{-1/alpha}, beta, 0), the exact law of one increment of the
     Levy path on the grid {k/n} for every alpha and beta, and the number of
-    increments floor(n*T) over [0, T]."""
+    increments floor(n*T) over [0, T]. Raises ValueError if the scale
+    underflows to 0."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if T <= 0:
         raise ValueError("T must be positive")
-    return replace(params, scale_C=params.scale_C * n ** (-1.0 / params.alpha)), int(math.floor(n * T))
+    scale = params.scale_C * n ** (-1.0 / params.alpha)
+    if scale == 0.0:
+        raise ValueError(
+            f"the grid-increment scale C n^(-1/alpha) underflows to 0 at C={params.scale_C!r}, "
+            f"n={n}, alpha={params.alpha!r}")
+    return replace(params, scale_C=scale), int(math.floor(n * T))
 
 
 def levy_increments(

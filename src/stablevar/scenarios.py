@@ -4,7 +4,6 @@ the limiting stable law with a two-sample KS test."""
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import os
@@ -15,7 +14,7 @@ from types import MappingProxyType
 import numpy as np
 
 from stablevar.limit_law import sample_limit
-from stablevar.path_sim import DriftSpec, euler, levy_increment_draws, levy_increments
+from stablevar.path_sim import DriftSpec, euler, levy_increment_draws
 from stablevar.pvariation import compensator, terminal_pvariation
 from stablevar.stable_law import RandomStream, StableParams
 
@@ -31,15 +30,11 @@ def two_sample_ks(a, b) -> float:
 
 
 def ks_threshold(m: int) -> float:
-    """Rejection threshold 1.52 sqrt(2/m) for two samples of size m (level
-    about 0.02)."""
+    """Rejection threshold 1.52 sqrt(2/m) for two samples of size m. Under the
+    null, D >= threshold has exact level 0.0079, 0.0115, 0.0163 and 0.0181 at
+    m = 5, 50, 200 and 2000 (Gnedenko-Korolyuk), 0.0197 as m -> infinity."""
     return 1.52 * math.sqrt(2.0 / m)
 
-
-BLOCK_VALUES = 200 * 10_000
-"""Grid increments held at once by levy_statistic_sample (16 MB of float64),
-shared by all threads: each block draws max(1, BLOCK_VALUES // (n * workers))
-streams of n steps."""
 
 CHUNK_STEPS = 1000
 """Time steps that sde_statistic_pairs draws and Euler-steps at once, for
@@ -50,15 +45,15 @@ generator calls, and chunks of 2000 steps (blocks of 500 streams) about 15%
 slower (2-vCPU x86-64)."""
 
 CHUNK_VALUES = 1000 * 1000
-"""Increments in sde_statistic_pairs's one chunk buffer (8 MB), shared by
-all threads: blocks of CHUNK_VALUES // min(n, CHUNK_STEPS) streams. The
-buffer is made on the calling thread, so it does not reuse the memory that
-levy_statistic_sample's pool threads freed, and a verify round's peak RSS
-rises by about its size."""
+"""Increments in the one chunk buffer (8 MB) that a statistic call walks,
+shared by all threads, whatever their number. A chunk is min(n, CHUNK_STEPS)
+steps wide in sde_statistic_pairs and n steps wide in levy_statistic_sample;
+a block is max(1, CHUNK_VALUES // width) streams."""
 
-TASK_ROWS = 64
-"""Streams that one pool task of sde_statistic_pairs draws a chunk of, or
-sums a chunk's |x|^p over, in scratch arrays of its own (512 kB each)."""
+TASK_VALUES = 64 * 1000
+"""Increments that one pool task draws into the chunk buffer and sums
+|x|^p over: max(1, TASK_VALUES // width) streams of a chunk, with CMS and
+|x|^p scratch arrays of its own (512 kB each)."""
 
 
 def _workers() -> int:
@@ -70,23 +65,13 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-@contextlib.contextmanager
-def _thread_pool(workers: int):
-    """A pool of the given number of threads. On leaving, tasks not yet
-    started are cancelled."""
-    pool = ThreadPoolExecutor(max_workers=workers)
-    try:
-        yield pool
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def _map_rows(pool: ThreadPoolExecutor, m: int, rows: int, fill) -> None:
-    """Call fill(lo, hi) on the pool for consecutive blocks of up to `rows`
-    of m rows. Each fill writes its own disjoint slice of the caller's
-    outputs, and every stream is a pure function of its index, so the result
-    does not depend on the partition or the thread count. The first
-    exception raised in a block reaches the caller."""
+    """Call fill(lo, hi) on the pool for consecutive runs of up to `rows` of
+    m rows. Each fill writes its own disjoint slice of the caller's outputs,
+    and every stream is a pure function of its index, so the result does not
+    depend on the partition or the thread count. The first exception raised
+    in a run reaches the caller, and pool.map cancels the runs not yet
+    started."""
     los = range(0, m, rows)
     for _ in pool.map(fill, los, [min(lo + rows, m) for lo in los]):
         pass
@@ -99,6 +84,38 @@ def _check_stream_sizes(n: int, m: int) -> None:
         raise ValueError(f"n must be >= 1, got n={n}")
     if m < 0:
         raise ValueError(f"m must be >= 0, got m={m}")
+
+
+def _walk_chunks(params, n, m, seed, width, draw_sums, drift=None, euler_sums=None) -> None:
+    """Draw streams 0 .. m - 1 of n grid increments, in blocks of streams and
+    column chunks of `width` steps, through one chunk buffer. For each chunk,
+    pool tasks fill their rows from StableDraws and call draw_sums(rows, lo,
+    hi) with the rows of streams lo .. hi - 1. Given a drift, one euler call
+    on this thread then steps the block through the chunk from X_0 = 0,
+    writing the Euler increments over the drawn ones, and pool tasks call
+    euler_sums(rows, lo, hi) with them."""
+    rows = max(1, min(m, CHUNK_VALUES // width))
+    task_rows = max(1, TASK_VALUES // width)
+    buf = np.empty(rows * width)
+    with ThreadPoolExecutor(max_workers=_workers()) as pool:
+        for lo in range(0, m, rows):
+            block = min(rows, m - lo)
+            draws = levy_increment_draws(params, n, [RandomStream(seed, lo + i) for i in range(block)])
+            x = np.zeros(block)
+            for k in range(0, n, width):
+                chunk = buf[:block * min(width, n - k)].reshape(block, -1)
+
+                def draw(a, b):
+                    draws.fill(chunk[a:b], a)
+                    draw_sums(chunk[a:b], lo + a, lo + b)
+
+                def euler_sum(a, b):
+                    euler_sums(chunk[a:b], lo + a, lo + b)
+
+                _map_rows(pool, block, task_rows, draw)
+                if drift is not None:
+                    euler(x, drift, chunk, n, n, out=chunk)
+                    _map_rows(pool, block, task_rows, euler_sum)
 
 
 def levy_statistic_sample(
@@ -114,16 +131,16 @@ def levy_statistic_sample(
     and return one row of m values per exponent: V_p^n(L)_1 = sum |dL|^p for
     each p in ps, then V_p^n(L + Y)_1 = sum |dL + dY|^p for each p in
     shifted_ps, where dY holds the increments of the callable perturbation
-    t -> Y_t on the grid. Raises ValueError, before drawing, unless n >= 1
-    and m >= 0."""
+    t -> Y_t on the grid. The blocks are walked in one chunk of the full
+    width n, so each row is drawn in one fill and summed in one pairwise
+    sum. Raises ValueError, before drawing, unless n >= 1 and m >= 0."""
     _check_stream_sizes(n, m)
     if shifted_ps:
         t = np.arange(n + 1) / n
         dY = np.diff(np.asarray([perturbation(tt) for tt in t], dtype=float))
     out = np.empty((len(ps) + len(shifted_ps), m))
 
-    def fill(lo, hi):
-        dL = levy_increments(params, n, [RandomStream(seed, i) for i in range(lo, hi)])
+    def sums(dL, lo, hi):
         for k, p in enumerate(ps):
             out[k, lo:hi] = terminal_pvariation(dL, p)
         if shifted_ps:
@@ -131,9 +148,7 @@ def levy_statistic_sample(
         for k, p in enumerate(shifted_ps, len(ps)):
             out[k, lo:hi] = terminal_pvariation(dL, p)
 
-    workers = _workers()
-    with _thread_pool(workers) as pool:
-        _map_rows(pool, m, max(1, BLOCK_VALUES // (n * workers)), fill)
+    _walk_chunks(params, n, m, seed, n, sums)
     return out
 
 
@@ -179,39 +194,23 @@ def sde_statistic_pairs(
     path on the grid of spacing 1/n and X the Euler solution from X_0 = 0
     with the given drift, driven by the same grid increments.
 
-    Blocks of up to CHUNK_VALUES // min(n, CHUNK_STEPS) streams are walked
-    in chunks of CHUNK_STEPS steps through one chunk buffer. For each chunk,
-    pool tasks of TASK_ROWS streams draw the increments dL and add each
-    row's sum of |dL|^p to its total; one euler call on this thread steps
-    every row of the block through the chunk, overwriting dL with the Euler
-    increments dX; and pool tasks add the rows' sums of |dX|^p. A row's sums
-    over n > CHUNK_STEPS steps are thus sums of chunk sums, which differ from
-    one pairwise sum over the row only in the last bits."""
+    The streams are walked in chunks of CHUNK_STEPS steps (_walk_chunks):
+    pool tasks add each row's sum of |dL|^p over a chunk to its total, one
+    euler call steps the block through the chunk, and pool tasks add the
+    rows' sums of |dX|^p. A row's sums over n > CHUNK_STEPS steps are thus
+    sums of chunk sums, which differ from one pairwise sum over the row only
+    in the last bits."""
     _check_stream_sizes(n, m)
     v_sde = np.zeros(m)
     v_levy = np.zeros(m)
-    width = min(n, CHUNK_STEPS)
-    rows = max(1, min(m, CHUNK_VALUES // width))
-    buf = np.empty(rows * width)
-    with _thread_pool(_workers()) as pool:
-        for lo in range(0, m, rows):
-            block = min(rows, m - lo)
-            draws = levy_increment_draws(params, n, [RandomStream(seed, lo + i) for i in range(block)])
-            x = np.zeros(block)
-            for k in range(0, n, CHUNK_STEPS):
-                steps = min(CHUNK_STEPS, n - k)
-                dL = buf[:block * steps].reshape(block, steps)
 
-                def draw(a, b):
-                    draws.fill(dL[a:b], a)
-                    v_levy[lo + a:lo + b] += terminal_pvariation(dL[a:b], p)
+    def add_levy_sums(dL, lo, hi):
+        v_levy[lo:hi] += terminal_pvariation(dL, p)
 
-                def add_sde_sums(a, b):
-                    v_sde[lo + a:lo + b] += terminal_pvariation(dL[a:b], p)
+    def add_sde_sums(dX, lo, hi):
+        v_sde[lo:hi] += terminal_pvariation(dX, p)
 
-                _map_rows(pool, block, TASK_ROWS, draw)
-                euler(x, drift, dL, n, n, out=dL)
-                _map_rows(pool, block, TASK_ROWS, add_sde_sums)
+    _walk_chunks(params, n, m, seed, min(n, CHUNK_STEPS), add_levy_sums, drift, add_sde_sums)
     return v_sde, v_levy
 
 

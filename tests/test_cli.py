@@ -160,6 +160,25 @@ class TestSimulate:
         assert err.startswith("infeasible simulation:") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad, problem", [
+        # C n^(-1/alpha) underflows to 0, so the grid law cannot be formed
+        (["--scale", "1e-320"], "underflows to 0"),
+        (["--alpha", "1e-9"], "underflows to 0"),
+        # every increment is inf or nan
+        (["--scale", "inf"], "1000 of 1000 simulated increments are not finite"),
+        # heavy-tailed draws overflow in the Euler loop
+        (["--scale", "1e308", "--alpha", "0.3"], "simulated increments are not finite"),
+    ], ids=["scale-underflow", "alpha-underflow", "scale-inf", "euler-overflow"])
+    def test_unrepresentable_paths_exit_4(self, tmp_path, capsys, bad, problem):
+        # no traceback, no numpy warning and no file that estimate would refuse
+        out = tmp_path / "s.csv"
+        assert run(["simulate", "--m", "20", "--n", "50", *bad, "--output", str(out)]) == 4
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith("infeasible simulation:") and err.count("\n") == 1
+        assert problem in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("T, per_block", [("2", 40), ("1.5", 30), ("0.05", 1)])
     def test_reports_increments_written_per_block(self, tmp_path, capsys, T, per_block):
         out = str(tmp_path / "s.csv")
@@ -210,6 +229,20 @@ class TestEstimate:
         assert fixed[0] == "p,alpha,D"
         assert len(fixed) == 1 + 4
         assert "plot" in open(base + ".gp").read()
+
+    def test_gnuplot_quotes_the_output_base(self, tmp_path):
+        # gnuplot reads '' inside a single-quoted string as one '
+        inp = self.simulate_input(tmp_path, m=40)
+        (tmp_path / "it's").mkdir()
+        base = str(tmp_path / "it's" / "o'est")
+        assert run([
+            "estimate", "--input", inp, "--output", base, "--no-refine", "--gnuplot",
+        ]) == 0
+        (plot,) = [ln for ln in open(base + ".gp").read().splitlines() if ln.startswith("plot ")]
+        quoted = plot[len("plot "):].split(" using ")[0]
+        assert quoted == "'" + (base + ".slice.csv").replace("'", "''") + "'"
+        # the string ends at the first ' that is not doubled
+        assert "'" not in quoted[1:-1].replace("''", "")
 
     def test_missing_input_exits_3(self, tmp_path):
         assert run([

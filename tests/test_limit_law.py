@@ -138,7 +138,7 @@ class TestSampleLimit:
         # right, so the 1-stable limit takes beta = -1 in this package's
         # alpha = 1 form; with beta = 1 it is mirrored and D is about 0.3.
         # Two independent samples of 2000 under the null exceed
-        # ks_threshold (coefficient 1.52) with probability about 0.02; the
+        # ks_threshold (coefficient 1.52) with probability 0.0181; the
         # seeds are fixed, so the outcome is deterministic.
         params, m = StableParams(alpha, 1.0, 0.0), 2000
         (stats,) = levy_statistic_sample(params, 1000, m, 1, (alpha,))

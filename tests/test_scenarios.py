@@ -4,9 +4,11 @@ within a fixed rounding tolerance), so they have no false-failure rate;
 TestScenarioPower states its own."""
 
 import dataclasses
+import itertools
 import math
 import sys
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from stablevar.limit_law import limit_scale, sample_limit
 from stablevar.path_sim import DriftSpec, euler, levy_increments
 from stablevar.pvariation import compensator, terminal_pvariation
 from stablevar.scenarios import (
+    ks_threshold,
     levy_statistic_sample,
     run_scenario,
     sde_statistic_pairs,
@@ -72,11 +75,10 @@ class TestBlockPartition:
     def test_independent_of_partition_and_workers(self, monkeypatch, fast_switching,
                                                   name, workers):
         expected = CASES[name]()
-        # five rows' worth: blocks of 5, 2 and 1 streams, run 1-3 at a time;
-        # the cor-sde pool tasks hold 2 streams
-        monkeypatch.setattr(scenarios, "BLOCK_VALUES", 5 * N)
+        # five rows' worth: blocks of 5, 5 and 3 streams, drawn by pool tasks
+        # of 2 streams run 1-3 at a time
         monkeypatch.setattr(scenarios, "CHUNK_VALUES", 5 * N)
-        monkeypatch.setattr(scenarios, "TASK_ROWS", 2)
+        monkeypatch.setattr(scenarios, "TASK_VALUES", 2 * N)
         monkeypatch.setattr(scenarios, "_workers", lambda: workers)
         got = CASES[name]()
         for e, g in zip(np.atleast_2d(expected), np.atleast_2d(got)):
@@ -84,7 +86,7 @@ class TestBlockPartition:
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_block_exception_reaches_caller(self, monkeypatch, workers):
-        monkeypatch.setattr(scenarios, "BLOCK_VALUES", 2 * N)
+        monkeypatch.setattr(scenarios, "CHUNK_VALUES", 2 * N)
         monkeypatch.setattr(scenarios, "_workers", lambda: workers)
         with pytest.raises(ValueError, match="p must be positive"):
             levy_statistic_sample(P15, 60, M, 3, (0.0,))
@@ -98,36 +100,33 @@ class TestBlockMemory:
     @pytest.mark.parametrize("multiple", [1, 4])  # streams of 15 or 60 steps
     def test_threads_together_hold_block_values(self, monkeypatch, rows_worth, workers,
                                                 multiple):
+        # both statistics walk one chunk buffer that the threads share, of
+        # n-step rows here (n < CHUNK_STEPS), so a block's size does not
+        # depend on the number of workers
         n = 15 * multiple
         calls = []
-        for name in ("levy_increments", "levy_increment_draws"):
-            draw = getattr(scenarios, name)
+        draw = scenarios.levy_increment_draws
 
-            def spy(params, n, streams, *args, draw=draw, **kwargs):
-                calls.append((n, [s.stream_index for s in streams]))
-                return draw(params, n, streams, *args, **kwargs)
+        def spy(params, n, streams, *args, **kwargs):
+            calls.append((n, [s.stream_index for s in streams]))
+            return draw(params, n, streams, *args, **kwargs)
 
-            monkeypatch.setattr(scenarios, name, spy)
-        monkeypatch.setattr(scenarios, "BLOCK_VALUES", rows_worth * n)
-        monkeypatch.setattr(scenarios, "CHUNK_VALUES", rows_worth * n)
+        monkeypatch.setattr(scenarios, "levy_increment_draws", spy)
         monkeypatch.setattr(scenarios, "_workers", lambda: workers)
-        for statistic, values_per_row, values in (
-            # cor-sde: the threads share one chunk buffer, n < CHUNK_STEPS
-            (lambda: sde_statistic_pairs(P075, COS, 1.5, n, M, seed=4), n, "CHUNK_VALUES"),
-            # each thread holds its own block
-            (lambda: levy_statistic_sample(P15, n, M, 3, (1.0,)), n * workers, "BLOCK_VALUES"),
-        ):
-            held = getattr(scenarios, values)
-            calls.clear()
-            statistic()
-            # each stream is drawn exactly once
-            assert sorted(i for _, idx in calls for i in idx) == list(range(M))
-            for n_drawn, idx in calls:
-                assert n_drawn == n
-                if values_per_row <= held:
-                    assert len(idx) * values_per_row <= held
-                else:
-                    assert len(idx) == 1
+        # a stream wider than the buffer is a block of its own
+        for held in (rows_worth * n, n - 1):
+            monkeypatch.setattr(scenarios, "CHUNK_VALUES", held)
+            for statistic in (
+                lambda: sde_statistic_pairs(P075, COS, 1.5, n, M, seed=4),
+                lambda: levy_statistic_sample(P15, n, M, 3, (1.0,)),
+            ):
+                calls.clear()
+                statistic()
+                # each stream is drawn exactly once
+                assert sorted(i for _, idx in calls for i in idx) == list(range(M))
+                for n_drawn, idx in calls:
+                    assert n_drawn == n
+                    assert len(idx) <= max(1, held // n)
 
 
 class TestTheoremSample:
@@ -168,13 +167,13 @@ class TestTheoremSample:
 
     def test_three_scenarios_draw_each_stream_once(self, monkeypatch):
         drawn = []
-        draw = scenarios.levy_increments
+        draw = scenarios.levy_increment_draws
 
         def spy(params, n, streams, *args, **kwargs):
             drawn.extend(s.stream_index for s in streams)
             return draw(params, n, streams, *args, **kwargs)
 
-        monkeypatch.setattr(scenarios, "levy_increments", spy)
+        monkeypatch.setattr(scenarios, "levy_increment_draws", spy)
         for name in ("thm1-sub", "thm1-comp", "thm3-lipschitz"):
             run_scenario(name, seed=3, m=M, n=N)
         # the shared sample's streams 0 .. M - 1, and nothing else
@@ -191,13 +190,46 @@ class TestTheoremSample:
             sample["thm1-sub"] = np.zeros(M)
 
 
+def ks_level(m, k):
+    """P(D >= k/m) for the two-sample KS statistic D of two samples of size m
+    under the null, by the Gnedenko-Korolyuk closed form
+    2 sum_j (-1)^(j+1) C(2m, m - jk) / C(2m, m), in logs."""
+    def log_comb(a, b):
+        return math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
+
+    return 2.0 * sum((-1) ** (j + 1) * math.exp(log_comb(2 * m, m - j * k) - log_comb(2 * m, m))
+                     for j in range(1, m // k + 1))
+
+
+class TestKsThreshold:
+    def test_closed_form_matches_enumeration(self):
+        # under the null every interleaving of the two samples is equally
+        # likely, and D depends on the interleaving alone
+        m = 6
+        counts = Counter()
+        for first in itertools.combinations(range(2 * m), m):
+            second = sorted(set(range(2 * m)) - set(first))
+            counts[round(two_sample_ks(first, second) * m)] += 1
+        for k in range(1, m + 1):
+            tail = sum(c for d, c in counts.items() if d >= k) / math.comb(2 * m, m)
+            assert math.isclose(ks_level(m, k), tail, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("m, level", [(5, 0.0079), (50, 0.0115), (200, 0.0163), (2000, 0.0181)])
+    def test_exact_level(self, m, level):
+        # a scenario fails when D = k/m is at or above the threshold
+        k = math.ceil(m * ks_threshold(m))
+        assert (k - 1) / m < ks_threshold(m) <= k / m
+        assert round(ks_level(m, k), 4) == level
+
+
 class TestScenarioPower:
     """A known defect must fail a scenario: thm3-lipschitz (p = alpha)
     against the mirror image of its limit law, beta flipped. At m = 500,
     n = 1000, seeds 1-3, the true law gave D = 0.040-0.062 and the mirrored
     one 0.278-0.300, against a threshold of 0.0961. Under the null each case
-    fails its first assertion with probability about 0.02; the seeds are
-    fixed, so the outcome is deterministic."""
+    fails its first assertion with probability 0.0164 (TestKsThreshold's
+    closed form at m = 500); the seeds are fixed, so the outcome is
+    deterministic."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_mirrored_limit_law_fails(self, monkeypatch, seed):
@@ -219,11 +251,13 @@ class TestBlockPeak:
         lambda m, n: scenarios._theorem_sample(3, m, n),
     ], ids=["sde", "levy-perturbed", "theorem-sample"])
     def test_block_holds_two_arrays_of_its_size(self, monkeypatch, statistic):
-        # one block on one thread holds its increments and one |x|^p buffer
-        # of the same size at a time, plus per-row scratch; cor-sde holds
-        # one chunk buffer and per-task scratch (TestSdePeak)
+        # one block on one thread holds its increments in the chunk buffer
+        # and one |x|^p buffer of a task's size at a time, plus per-task CMS
+        # scratch; here a task draws one stream. cor-sde's chunk buffer holds
+        # CHUNK_STEPS steps per stream (TestSdePeak).
         m, n = 40, 2000
-        monkeypatch.setattr(scenarios, "BLOCK_VALUES", m * n)
+        monkeypatch.setattr(scenarios, "CHUNK_VALUES", m * n)
+        monkeypatch.setattr(scenarios, "TASK_VALUES", n)
         monkeypatch.setattr(scenarios, "_workers", lambda: 1)
         tracemalloc.start()
         try:
@@ -232,6 +266,26 @@ class TestBlockPeak:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * m * n * 8
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_theorem_sample_peak_does_not_grow_with_workers(self, monkeypatch, workers):
+        # one chunk buffer that the threads share, and two CMS scratch arrays
+        # of a task's size for each of at most three tasks running at once.
+        # The bound allows two more per task: they cover the |x|^p buffer,
+        # the perturbation's increments dY, the block's generators and the
+        # pool's futures.
+        m, n = 60, 4000
+        monkeypatch.setattr(scenarios, "CHUNK_VALUES", 20 * n)
+        monkeypatch.setattr(scenarios, "TASK_VALUES", 2 * n)
+        monkeypatch.setattr(scenarios, "_workers", lambda: workers)
+        tracemalloc.start()
+        try:
+            scenarios._theorem_sample(3, m, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        chunk, task = 20 * n * 8, 2 * n * 8
+        assert peak < chunk + 3 * 4 * task
 
 
 class TestSdePeak:
@@ -318,7 +372,7 @@ class TestSdeStreams:
         for workers, rows_worth, task_rows in ((1, 13, 64), (3, 5, 2), (2, 1, 1), (4, 4, 3)):
             monkeypatch.setattr(scenarios, "_workers", lambda: workers)
             monkeypatch.setattr(scenarios, "CHUNK_VALUES", rows_worth * scenarios.CHUNK_STEPS)
-            monkeypatch.setattr(scenarios, "TASK_ROWS", task_rows)
+            monkeypatch.setattr(scenarios, "TASK_VALUES", task_rows * scenarios.CHUNK_STEPS)
             np.testing.assert_array_equal(
                 sde_statistic_pairs(P075, COS, 1.5, n, M, seed=4), expected)
 
@@ -362,7 +416,6 @@ class TestStatisticSizes:
         def no_draws(*args, **kwargs):
             raise AssertionError("a stream was drawn")
 
-        monkeypatch.setattr(scenarios, "levy_increments", no_draws)
         monkeypatch.setattr(scenarios, "levy_increment_draws", no_draws)
         monkeypatch.setattr(scenarios, "_map_rows", no_draws)
         with pytest.raises(ValueError, match=match):
