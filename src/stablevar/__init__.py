@@ -2,7 +2,7 @@
 from compensated p-variation statistics."""
 
 from stablevar.stable_law import RandomStream, StableParams, abs_moment, sample_stable, sin_moment
-from stablevar.path_sim import DriftSpec, PathSample, simulate_levy
+from stablevar.path_sim import PathSample, simulate_levy
 from stablevar.pvariation import compensated_terminal, compensator, terminal_pvariation
 from stablevar.limit_law import limit_scale, ref_cdf_half_stable, sample_limit
 from stablevar.estimator import (
@@ -21,7 +21,6 @@ __all__ = [
     "abs_moment",
     "sin_moment",
     "PathSample",
-    "DriftSpec",
     "simulate_levy",
     "terminal_pvariation",
     "compensator",

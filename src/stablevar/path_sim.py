@@ -1,11 +1,13 @@
 """Uniform-grid sample paths of X_t = x + int_0^t f(X_s) ds + L_t: one law
 of stable Levy grid increments (levy_increments, or levy_increment_draws in
 column chunks), one vectorized Euler kernel (euler), and the Levy and SDE
-paths built on them."""
+paths built on them. The drift f is a vectorized function of the state,
+such as np.cos; one that returns 0.0 keeps the pure-Levy reduction exact."""
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,23 +36,6 @@ class PathSample:
 
     def increments(self) -> np.ndarray:
         return np.diff(self.values)
-
-
-@dataclass(frozen=True)
-class DriftSpec:
-    """Autonomous drift f(x) of the SDE. kind 'zero' is f = 0, which keeps
-    the pure-Levy reduction exact; 'cosine' is f(x) = cos(x)."""
-
-    kind: str = "zero"
-
-    def __post_init__(self):
-        if self.kind not in ("zero", "cosine"):
-            raise ValueError(f"unknown drift kind {self.kind!r}")
-
-    def __call__(self, x):
-        if self.kind == "zero":
-            return 0.0
-        return np.cos(x)
 
 
 def _grid_law(params: StableParams, n: int, T: float) -> tuple[StableParams, int]:
@@ -95,18 +80,19 @@ def levy_increment_draws(
 
 def euler(
     x0: float | np.ndarray,
-    drift: DriftSpec,
+    drift: Callable[[np.ndarray], np.ndarray | float],
     dL: np.ndarray,
     n_fine: int,
     n_obs: int,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Explicit Euler for X_t = x0 + int f(X_s) ds + L_t, one path per row of
-    the fine-grid increments dL (spacing 1/n_fine), vectorized across rows.
-    Returns the increments X_{j/n_obs} - X_{(j-1)/n_obs} on the observation
-    grid: an (m, floor(n_obs*T)) array when dL holds the increments over
-    [0, T], written into out when out is given. out may be dL itself, since
-    each step reads its increments before any is overwritten.
+    """Explicit Euler for X_t = x0 + int f(X_s) ds + L_t, where f is the
+    vectorized function drift, one path per row of the fine-grid increments
+    dL (spacing 1/n_fine), vectorized across rows. Returns the increments
+    X_{j/n_obs} - X_{(j-1)/n_obs} on the observation grid: an
+    (m, floor(n_obs*T)) array when dL holds the increments over [0, T],
+    written into out when out is given. out may be dL itself, since each
+    step reads its increments before any is overwritten.
 
     x0 is either a float, the start of every row, or an (m,) float array of
     per-row states that this call leaves holding each row's value after the
@@ -146,7 +132,7 @@ def simulate_levy(params: StableParams, n: int, T: float, stream: RandomStream) 
 
 def simulate_sde_batch(
     x0: float,
-    drift: DriftSpec,
+    drift: Callable[[np.ndarray], np.ndarray | float],
     params: StableParams,
     n_fine: int,
     n_obs: int,

@@ -31,8 +31,8 @@ diverges, and any alpha outside the tolerance keeps the alpha != 1 formulas."""
 class StableParams:
     """Parameters of the stable law S_alpha(C, beta, 0).
 
-    alpha in (0, 2], scale_C > 0, beta in [-1, 1]. beta is ignored at alpha = 2
-    (the Gaussian boundary, variance 2 C^2).
+    alpha in (0, 2], 0 < scale_C < inf, beta in [-1, 1]. beta is ignored at
+    alpha = 2 (the Gaussian boundary, variance 2 C^2).
     """
 
     alpha: float
@@ -42,8 +42,8 @@ class StableParams:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha must be in (0, 2], got {self.alpha}")
-        if not self.scale_C > 0.0:
-            raise ValueError(f"scale_C must be positive, got {self.scale_C}")
+        if not 0.0 < self.scale_C < math.inf:
+            raise ValueError(f"scale_C must be finite and positive, got {self.scale_C}")
         if not -1.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must be in [-1, 1], got {self.beta}")
 
@@ -76,9 +76,9 @@ class RandomStream:
 
 def _cms_standard(alpha: float, beta: float, v: np.ndarray, w: np.ndarray, t: np.ndarray) -> None:
     """Chambers-Mallows-Stuck transform, in place, to S_alpha(1, beta, 0) in
-    this module's parametrization, alpha = 1 included: v holds the uniform
-    angles on (-pi/2, pi/2) and receives the draws, w holds the standard
-    exponentials, and w and t (the shape of v) are overwritten. Every
+    this module's parametrization for every alpha, 1 and 2 included: v holds
+    the uniform angles on (-pi/2, pi/2) and receives the draws, w holds the
+    standard exponentials, and w and t (the shape of v) are overwritten. Every
     operation is the elementwise one of the textbook formula, in its order,
     so the draws do not depend on how the caller splits the arrays."""
     if abs(alpha - 1.0) < ALPHA_ONE_TOL:
@@ -97,8 +97,10 @@ def _cms_standard(alpha: float, beta: float, v: np.ndarray, w: np.ndarray, t: np
         v *= 2.0 / math.pi
         return
     # s sin(a) / cos(v)^(1/alpha) * (cos(v - a) / w)^((1 - alpha)/alpha),
-    # a = alpha (v + b); a is formed twice rather than held in a fourth buffer
-    zeta = beta * math.tan(math.pi * alpha / 2.0)
+    # a = alpha (v + b); a is formed twice rather than held in a fourth buffer.
+    # At alpha = 2, where tan(pi) rounds to -1.2e-16, zeta is 0 so that beta
+    # has no effect: the draw is 2 sin(v) sqrt(w), N(0, 2) as in Box-Muller
+    zeta = 0.0 if alpha == 2.0 else beta * math.tan(math.pi * alpha / 2.0)
     b = math.atan(zeta) / alpha
     s = (1.0 + zeta * zeta) ** (1.0 / (2.0 * alpha))
     np.add(v, b, out=t)
@@ -149,10 +151,6 @@ class StableDraws:
         if len(drawn) != rows or rows and drawn.max() + k > self.size:
             raise ValueError(f"{k} more draws of streams {lo} .. {lo + rows - 1} exceed size={self.size}")
         drawn += k
-        if a == 2.0:
-            for row, normal in zip(out, self._generators[lo:lo + rows]):
-                row[:] = normal.normal(0.0, math.sqrt(2.0) * c, size=k)
-            return
         w, t = np.empty((2, rows, k))
         for i, v_row, w_row in zip(range(lo, lo + rows), out, w):
             uniform = self._generators[i]

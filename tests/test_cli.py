@@ -4,7 +4,7 @@ import stat
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from stablevar import cli
@@ -164,8 +164,8 @@ class TestSimulate:
         # C n^(-1/alpha) underflows to 0, so the grid law cannot be formed
         (["--scale", "1e-320"], "underflows to 0"),
         (["--alpha", "1e-9"], "underflows to 0"),
-        # every increment is inf or nan
-        (["--scale", "inf"], "1000 of 1000 simulated increments are not finite"),
+        # an infinite scale is no stable law, rejected before anything is drawn
+        (["--scale", "inf"], "scale_C must be finite and positive, got inf"),
         # heavy-tailed draws overflow in the Euler loop
         (["--scale", "1e308", "--alpha", "0.3"], "simulated increments are not finite"),
     ], ids=["scale-underflow", "alpha-underflow", "scale-inf", "euler-overflow"])
@@ -178,6 +178,15 @@ class TestSimulate:
         assert err.startswith("infeasible simulation:") and err.count("\n") == 1
         assert problem in err
         assert not out.exists()
+
+    def test_negative_exponent_value_in_equals_form(self, tmp_path):
+        # before Python 3.13, argparse reads "-1e-05" after a flag as another
+        # option and exits 2; written --flag=value it is a value (and
+        # --x0=-inf is one of the infeasible arguments above)
+        out = tmp_path / "s.csv"
+        assert run(["simulate", "--n", "20", "--m", "2", "--fine-multiplier", "2",
+                    "--beta=-1e-05", "--output", str(out)]) == 0
+        assert json.loads(out.read_text().splitlines()[0][len(cli.MAGIC):])["beta"] == -1e-05
 
     @pytest.mark.parametrize("T, per_block", [("2", 40), ("1.5", 30), ("0.05", 1)])
     def test_reports_increments_written_per_block(self, tmp_path, capsys, T, per_block):
@@ -356,6 +365,47 @@ class TestEstimate:
             "--c-min", "4.0", "--c-max", "9.0", "--c-step", "1.0",
             "--no-refine",
         ]) == 2
+
+
+class TestSimulateThenEstimate:
+    # deterministic: derandomized examples, so no false-failure rate; each
+    # example rewrites the same files
+    @settings(max_examples=50, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        alpha=st.floats(0.3, 2.0),
+        scale=st.floats(1e-3, 1e3),
+        beta=st.floats(-1.0, 1.0),
+        drift=st.sampled_from(sorted(cli.DRIFTS)),
+        x0=st.floats(-10.0, 10.0),
+        m=st.integers(20, 30),
+        n=st.integers(10, 40),
+        fine=st.integers(1, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # the drawn alphas need not include the Gaussian boundary itself
+    @example(alpha=2.0, scale=1e3, beta=-1.0, drift="zero", x0=-10.0, m=20, n=10, fine=1, seed=0)
+    @example(alpha=2.0, scale=1e-3, beta=0.7, drift="cos", x0=10.0, m=30, n=40, fine=2, seed=1)
+    def test_estimate_reads_what_simulate_writes(self, tmp_path, capsys, alpha, scale, beta,
+                                                 drift, x0, m, n, fine, seed):
+        # simulate writes a file or refuses with exit 4 and one line; a file
+        # it writes, estimate fits with exit 0. Every value is passed as
+        # --flag=value, the form that also takes negative exponents
+        data = tmp_path / "s.csv"
+        data.unlink(missing_ok=True)
+        code = run(["simulate", f"--alpha={alpha!r}", f"--scale={scale!r}", f"--beta={beta!r}",
+                    f"--drift={drift}", f"--x0={x0!r}", f"--m={m}", f"--n={n}",
+                    f"--fine-multiplier={fine}", "--T=1", f"--seed={seed}",
+                    f"--output={data}"])
+        out, err = capsys.readouterr()
+        if code == 4:
+            assert out == ""
+            assert err.startswith("infeasible simulation:") and err.count("\n") == 1
+            assert not data.exists()
+            return
+        assert code == 0, err
+        assert run(["estimate", f"--input={data}", f"--output={tmp_path / 'fit'}"]) == 0, \
+            capsys.readouterr().err
 
 
 class TestVerify:

@@ -18,7 +18,7 @@ from stablevar.estimator import (
     ks_surface,
 )
 from stablevar.limit_law import limit_scale, ref_cdf_half_stable
-from stablevar.path_sim import DriftSpec, simulate_levy, simulate_sde_batch
+from stablevar.path_sim import simulate_levy, simulate_sde_batch
 from stablevar.pvariation import terminal_pvariation
 from stablevar.stable_law import RandomStream, StableParams, sample_stable
 
@@ -383,7 +383,7 @@ class TestCalibration:
         fits = []
         for seed in range(5):
             streams = [RandomStream(seed, i) for i in range(200)]
-            blocks = simulate_sde_batch(0.0, DriftSpec("cosine"), params, n_fine=16 * n,
+            blocks = simulate_sde_batch(0.0, np.cos, params, n_fine=16 * n,
                                         n_obs=n, T=1.0, streams=streams)
             fits.append(estimate(blocks).alpha_star)
         hits = sum(abs(a - alpha) <= 0.15 for a in fits)

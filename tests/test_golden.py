@@ -27,7 +27,7 @@ import pytest
 
 from stablevar import scenarios
 from stablevar.cli import main, write_series
-from stablevar.path_sim import DriftSpec, simulate_levy
+from stablevar.path_sim import simulate_levy
 from stablevar.pvariation import compensator
 from stablevar.scenarios import levy_statistic_sample, sde_statistic_pairs
 from stablevar.stable_law import RandomStream, StableParams
@@ -108,7 +108,6 @@ def _cli_digests(workdir: str) -> dict:
 def _statistic_digests() -> dict:
     sub = StableParams(1.5, 1.0, 0.0)
     sde = StableParams(0.75, 6.35, 0.0)
-    cos = DriftSpec("cosine")
     out = {
         "levy.thm1-sub": levy_statistic_sample(sub, 300, 7, 5, (2.0,)),
         "levy.thm1-sub.two-blocks": levy_statistic_sample(sub, 10_000, 203, 6, (2.0,)),
@@ -124,7 +123,7 @@ def _statistic_digests() -> dict:
         ("sde.cor-sde", dict(n=300, m=7, seed=5)),
         ("sde.cor-sde.two-blocks", dict(n=10_000, m=203, seed=9)),
     ):
-        v_sde, v_levy = sde_statistic_pairs(sde, cos, 1.5, **kwargs)
+        v_sde, v_levy = sde_statistic_pairs(sde, np.cos, 1.5, **kwargs)
         out[f"{key}.sde"], out[f"{key}.levy"] = v_sde, v_levy
     out["simulate_levy.a075"] = simulate_levy(sde, 200, 1.0, RandomStream(11, 2)).values
     out["simulate_levy.a15.T2"] = simulate_levy(sub, 150, 2.0, RandomStream(12)).values

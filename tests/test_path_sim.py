@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp, kstest, levy_stable, norm
 
+from stablevar.cli import DRIFTS
 from stablevar.path_sim import (
-    DriftSpec,
     PathSample,
     euler,
     levy_increment_draws,
@@ -27,7 +27,7 @@ P075 = StableParams(0.75, 6.35)
 P2 = StableParams(2.0, 1.0)
 P15 = StableParams(1.5, 1.0)
 P1_SKEWED = StableParams(1.0, 1.0, 0.8)
-COS = DriftSpec("cosine")
+ZERO, COS = DRIFTS["zero"], DRIFTS["cos"]
 
 
 class TestSimulateLevy:
@@ -38,6 +38,7 @@ class TestSimulateLevy:
         assert (path.n, path.horizon_T) == (4, 1.0)
 
     def test_gaussian_increments(self):
+        # Level 0.01 on a fixed seed: 1% false-failure chance
         path = simulate_levy(P2, 100_000, 1.0, RandomStream(1))
         res = kstest(path.increments(), norm(scale=math.sqrt(2.0 / 100_000)).cdf)
         assert res.pvalue > 0.01
@@ -98,7 +99,7 @@ class TestLevyIncrements:
         # the Levy side of the pairs takes the grid increments that
         # simulate_levy sums into its path
         n, p, m = 50, 1.5, 3
-        _, v_levy = sde_statistic_pairs(P1_SKEWED, DriftSpec("zero"), p, n, m, seed=6)
+        _, v_levy = sde_statistic_pairs(P1_SKEWED, ZERO, p, n, m, seed=6)
         expected = [
             terminal_pvariation(simulate_levy(P1_SKEWED, n, 1.0, RandomStream(6, i)).increments(), p)
             for i in range(m)
@@ -111,28 +112,28 @@ class TestSimulateSde:
         # with f = 0 the Euler levels are the Levy path's cumulative sums, so
         # the coarse-grid increments are the same differences
         stream = RandomStream(5)
-        sde = simulate_sde_batch(0.0, DriftSpec("zero"), P075, 1600, 100, 1.0, [stream])[0]
+        sde = simulate_sde_batch(0.0, ZERO, P075, 1600, 100, 1.0, [stream])[0]
         levy = simulate_levy(P075, 1600, 1.0, stream).values[::16]
         np.testing.assert_array_equal(sde, np.diff(levy))
 
     def test_rejects_incompatible_grids(self):
         with pytest.raises(ValueError):
-            simulate_sde_batch(0.0, DriftSpec("zero"), P075, 150, 100, 1.0, [RandomStream(6)])
+            simulate_sde_batch(0.0, ZERO, P075, 150, 100, 1.0, [RandomStream(6)])
 
     def test_bounded_drift_pointwise_bound(self):
         # |f| <= 1 for f = cos implies |X_t - (x0 + L_t)| <= t on the grid,
         # X_t being x0 plus the partial sums of the increments
         stream = RandomStream(7)
-        sde = simulate_sde_batch(1.0, DriftSpec("cosine"), P075, 800, 100, 2.0, [stream])[0]
+        sde = simulate_sde_batch(1.0, COS, P075, 800, 100, 2.0, [stream])[0]
         levy = simulate_levy(P075, 800, 2.0, stream).values[8::8]
         t = np.arange(1, 201) / 100
         assert np.all(np.abs((1.0 + np.cumsum(sde)) - (1.0 + levy)) <= t + 1e-12)
 
     def test_batch_matches_scalar_path(self):
         streams = [RandomStream(8, i) for i in range(3)]
-        batch = simulate_sde_batch(0.5, DriftSpec("cosine"), P075, 400, 100, 1.0, streams)
+        batch = simulate_sde_batch(0.5, COS, P075, 400, 100, 1.0, streams)
         for i, s in enumerate(streams):
-            single = simulate_sde_batch(0.5, DriftSpec("cosine"), P075, 400, 100, 1.0, [s])[0]
+            single = simulate_sde_batch(0.5, COS, P075, 400, 100, 1.0, [s])[0]
             np.testing.assert_allclose(batch[i], single, rtol=1e-12, atol=1e-12)
 
     def test_refinement_consistency_in_law(self):
@@ -140,8 +141,8 @@ class TestSimulateSde:
         # X_1 = x0 + sum of the increments unchanged (x0 = 0)
         streams_a = [RandomStream(9, i) for i in range(1000)]
         streams_b = [RandomStream(10, i) for i in range(1000)]
-        a = simulate_sde_batch(0.0, DriftSpec("cosine"), P075, 400, 100, 1.0, streams_a)
-        b = simulate_sde_batch(0.0, DriftSpec("cosine"), P075, 800, 100, 1.0, streams_b)
+        a = simulate_sde_batch(0.0, COS, P075, 400, 100, 1.0, streams_a)
+        b = simulate_sde_batch(0.0, COS, P075, 800, 100, 1.0, streams_b)
         assert ks_2samp(a.sum(axis=1), b.sum(axis=1)).pvalue > 0.01
 
 
@@ -152,7 +153,7 @@ def reference_levels(x0, drift, dL, n_fine, n_obs):
     x = np.full(dL.shape[0], x0)
     levels = [x]
     for k in range(dL.shape[1]):
-        f = np.cos(x) if drift.kind == "cosine" else np.zeros_like(x)
+        f = np.cos(x) if drift is np.cos else np.zeros_like(x)
         x = x + f * (1.0 / n_fine) + dL[:, k]
         if (k + 1) % step == 0:
             levels.append(x)
@@ -163,7 +164,7 @@ class TestEuler:
     # deterministic: derandomized examples, so no false-failure rate
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
-        st.sampled_from(["zero", "cosine"]),
+        st.sampled_from([ZERO, COS]),
         st.floats(-10.0, 10.0),
         st.integers(0, 4),
         st.integers(1, 12),
@@ -171,13 +172,12 @@ class TestEuler:
         st.floats(0.05, 3.0).filter(lambda T: T != int(T)),
         st.integers(0, 2**32 - 1),
     )
-    def test_increments_are_differences_of_levels(self, kind, x0, m, n_obs, step, T, seed):
+    def test_increments_are_differences_of_levels(self, drift, x0, m, n_obs, step, T, seed):
         # each observed increment subtracts the same two levels as np.diff,
         # so the two agree bit for bit, a trailing partial step included
         n_fine = n_obs * step
         k_max = int(math.floor(n_fine * T))
         dL = np.random.default_rng(seed).standard_cauchy((m, k_max)) / n_fine
-        drift = DriftSpec(kind)
         got = euler(x0, drift, dL, n_fine, n_obs)
         assert got.shape == (m, k_max // step)
         np.testing.assert_array_equal(got, np.diff(reference_levels(x0, drift, dL, n_fine, n_obs)))

@@ -15,7 +15,7 @@ import pytest
 
 from stablevar import scenarios
 from stablevar.limit_law import limit_scale, sample_limit
-from stablevar.path_sim import DriftSpec, euler, levy_increments
+from stablevar.path_sim import euler, levy_increments
 from stablevar.pvariation import compensator, terminal_pvariation
 from stablevar.scenarios import (
     ks_threshold,
@@ -28,7 +28,7 @@ from stablevar.stable_law import RandomStream, StableParams, sample_stable
 
 P15 = StableParams(1.5, 1.0)
 P075 = StableParams(0.75, 6.35)
-COS = DriftSpec("cosine")
+COS = np.cos
 M = 13  # prime, so no block size divides it
 
 CASES = {

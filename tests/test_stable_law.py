@@ -36,6 +36,11 @@ class TestParams:
         with pytest.raises(ValueError):
             StableParams(1.5, 1.0, 1.5)
 
+    @pytest.mark.parametrize("scale", [math.inf, math.nan])
+    def test_scale_must_be_finite_and_positive(self, scale):
+        with pytest.raises(ValueError, match="scale_C must be finite and positive"):
+            StableParams(0.75, scale)
+
     def test_stream_validation(self):
         with pytest.raises(ValueError):
             RandomStream(1, -1)
@@ -43,7 +48,8 @@ class TestParams:
 
 class TestSampling:
     def test_gaussian_boundary(self):
-        # alpha=2, C=1 is Normal(0, 2)
+        # alpha=2, C=1 is Normal(0, 2). Level 0.01 on a fixed seed: 1%
+        # false-failure chance.
         x = sample_stable(StableParams(2.0, 1.0), RandomStream(1), size=100_000)
         res = kstest(x, norm(scale=math.sqrt(2.0)).cdf)
         assert res.pvalue > 0.01
@@ -118,15 +124,14 @@ def textbook_cms(params: StableParams, stream: RandomStream, size: int) -> np.nd
     in-place transform."""
     rng = stream.generator()
     a, c, beta = params.alpha, params.scale_C, params.beta
-    if a == 2.0:
-        return rng.normal(0.0, math.sqrt(2.0) * c, size=size)
     v = (rng.uniform(size=size) - 0.5) * math.pi
     w = rng.exponential(size=size)
     if abs(a - 1.0) < ALPHA_ONE_TOL:
         bv = math.pi / 2.0 - beta * v
         x = (2.0 / math.pi) * (bv * np.tan(v) + beta * np.log((math.pi / 2.0) * w * np.cos(v) / bv))
         return c * x - (2.0 / math.pi) * beta * c * math.log(c)
-    zeta = beta * math.tan(math.pi * a / 2.0)
+    # beta has no effect at alpha = 2, where tan(pi) rounds to -1.2e-16
+    zeta = 0.0 if a == 2.0 else beta * math.tan(math.pi * a / 2.0)
     b = math.atan(zeta) / a
     s = (1.0 + zeta * zeta) ** (1.0 / (2.0 * a))
     x = (s * np.sin(a * (v + b)) / np.cos(v) ** (1.0 / a)
@@ -173,6 +178,13 @@ class TestStableDraws:
         got = np.hstack(chunks)
         for i, stream in enumerate(streams):
             np.testing.assert_array_equal(got[i], sample_stable(params, stream, size))
+
+    def test_gaussian_draws_ignore_beta(self):
+        # at alpha = 2 the CMS transform gives N(0, 2 C^2) whatever beta is
+        draws = [sample_stable(StableParams(2.0, 1.5, beta), RandomStream(5), 1000)
+                 for beta in (-1.0, 0.0, 0.7)]
+        np.testing.assert_array_equal(draws[0], draws[1])
+        np.testing.assert_array_equal(draws[2], draws[1])
 
     def test_filling_past_size_raises(self):
         draws = StableDraws(StableParams(1.5, 1.0), [RandomStream(3, i) for i in range(3)], 10)
