@@ -195,7 +195,7 @@ def cmd_estimate(args) -> int:
     print(f"alpha* = {result.alpha_star:.6g}")
     print(f"C*     = {result.c_star:.6g}")
     print(f"D_min  = {result.d_min:.6g}")
-    if result.surface.boundary:
+    if result.boundary:
         print("warning: minimum on the search-grid boundary")
     if result.surface.tie_count > 1:
         print(f"warning: {result.surface.tie_count} grid cells tie at the minimum")
@@ -227,7 +227,7 @@ def _write_result(path, result, shape):
         f"d_min {result.d_min!r}",
         f"m {m}",
         f"n {n}",
-        f"boundary {result.surface.boundary}",
+        f"boundary {result.boundary}",
         f"tie_count {result.surface.tie_count}",
     ]
     for k, (c, p, d) in enumerate(result.surface.local_minima[:8]):

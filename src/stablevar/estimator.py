@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from stablevar.limit_law import limit_scale, ref_cdf_half_stable
 from stablevar.pvariation import terminal_pvariation
@@ -129,6 +128,75 @@ def ks_surface(blocks: np.ndarray, c_grid, p_grid) -> KSSurface:
     return KSSurface.from_values(c_grid, p_grid, d)
 
 
+REFINE_XATOL = 1e-4
+"""Nelder-Mead's stopping tolerance in C and in p. A refined point this close
+to an edge of the search window counts as on the boundary."""
+
+
+def _nelder_mead(func, x0):
+    """Minimize func from x0 by the Nelder-Mead simplex (Nelder & Mead 1965),
+    returning (x, f(x)) of the best vertex. This is scipy.optimize.minimize's
+    method="Nelder-Mead" with options xatol=REFINE_XATOL, fatol=1e-6 and
+    maxiter=400, without bounds or adaptive parameters: the same initial
+    simplex (each coordinate of x0 in turn scaled by 1.05, or set to 0.00025
+    if zero), the same reflection, expansion, contraction and shrink steps in
+    the same order, the same stopping rule (every vertex within xatol of the
+    best in each coordinate and within fatol of it in value, or maxiter
+    iterations), so that on the same objective both return the same point
+    bit for bit. func gets a copy of each vertex."""
+    x0 = np.asarray(x0, dtype=float).flatten()
+    n = len(x0)
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = x0.copy()
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.array([func(np.copy(v)) for v in sim], dtype=float)
+    # sorted twice, as in scipy: an unstable argsort may reorder ties again
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    iterations = 1
+    while iterations < 400:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= REFINE_XATOL
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-6):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = func(np.copy(xr))
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = func(np.copy(xe))
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                # outside contraction
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = func(np.copy(xc))
+                shrink = not fxc <= fxr
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+            else:
+                # inside contraction
+                xcc = 0.5 * xbar + 0.5 * sim[-1]
+                fxcc = func(np.copy(xcc))
+                shrink = not fxcc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xcc, fxcc
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = func(np.copy(sim[j]))
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0], np.min(fsim)
+
+
 M_MIN = 20
 """Fewest blocks estimate accepts: below this the empirical CDF is too coarse
 for the KS distance to locate a minimum."""
@@ -179,13 +247,16 @@ class EstimationResult:
     d_min: float
     surface: KSSurface
     slice_best_c: np.ndarray  # rows (p, best C, D at best C)
+    # the grid argmin lies on the edge of the grid, or the refined point
+    # within REFINE_XATOL of an edge of the window
+    boundary: bool
 
 
 def estimate(blocks: np.ndarray, config: GridConfig | None = None) -> EstimationResult:
     """Coarse grid search over (C, p) for the (m, n) array of block
     increments, followed by Nelder-Mead refinement from the best grid cell.
-    Returns alpha* = p*/2 and C* along with the surface and the per-p best-C
-    slice."""
+    Returns alpha* = p*/2 and C* along with the surface, the per-p best-C
+    slice and the boundary flag."""
     if config is None:
         config = GridConfig()
     if np.ndim(blocks) != 2:
@@ -200,6 +271,7 @@ def estimate(blocks: np.ndarray, config: GridConfig | None = None) -> Estimation
         raise EstimationError("every block p-variation is zero (constant series)")
     surf = ks_surface(blocks, config.c_grid(), config.p_grid())
     c_star, p_star, d_min = surf.argmin
+    boundary = surf.boundary
 
     # per-p slice minimized over C (the curve plotted against alpha = p/2)
     best_idx = np.argmin(surf.d_values, axis=0)
@@ -216,12 +288,13 @@ def estimate(blocks: np.ndarray, config: GridConfig | None = None) -> Estimation
                 return 1.0
             return _coupled_distance(blocks, c, p)
 
-        res = optimize.minimize(
-            objective, x0=[c_star, p_star], method="Nelder-Mead",
-            options={"xatol": 1e-4, "fatol": 1e-6, "maxiter": 400},
-        )
-        if res.fun < d_min:
-            c_star, p_star, d_min = float(res.x[0]), float(res.x[1]), float(res.fun)
+        x, fun = _nelder_mead(objective, [c_star, p_star])
+        if fun < d_min:
+            c_star, p_star, d_min = float(x[0]), float(x[1]), float(fun)
+            # the refine can run onto the window's edge from an interior cell
+            edge = min(c_star - config.c_min, config.c_max - c_star,
+                       p_star - config.p_min, config.p_max - p_star)
+            boundary = boundary or edge <= REFINE_XATOL
 
     return EstimationResult(
         alpha_star=p_star / 2.0,
@@ -230,4 +303,5 @@ def estimate(blocks: np.ndarray, config: GridConfig | None = None) -> Estimation
         d_min=d_min,
         surface=surf,
         slice_best_c=slice_best_c,
+        boundary=boundary,
     )

@@ -7,9 +7,40 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erfc, gamma as gamma_fn
 
 from stablevar.stable_law import ALPHA_ONE_TOL, RandomStream, StableParams, sample_stable
+
+# Highest degree first. Fitted by tools/erfc_coefficients.py: the weighted
+# error exp(-x^2) |P/Q - exp(x^2) erfc(x)| is below 4.5e-17 on [0, 6].
+_ERFC_P = (0.0012779565089398599, 0.017958345901727835, 0.11561683150813193,
+           0.43513676224532477, 1.0172322095207107, 1.420118488078511, 1.0)
+_ERFC_Q = (0.0022650768932484075, 0.031831568022880376, 0.20604040459473738,
+           0.787340968033185, 1.9031843456085693, 2.8929038710101813,
+           2.5484976551740335, 1.0)
+_ERFC_X_MAX = 6.0
+
+
+def _erfc(x: np.ndarray) -> np.ndarray:
+    """erfc(x) for an array of x >= 0, within 3.4e-16 absolute: a rational
+    P/Q of min(x, 6) times exp(-x^2) (after Cody 1969, Math. Comp. 23:631,
+    in one piece since only absolute accuracy is needed). erfc(0) is exactly
+    1 and erfc(+inf) exactly 0; beyond x = 6 the rational is held at its value
+    there, an absolute error below erfc(6) = 2.2e-17."""
+    x = np.asarray(x, dtype=float)
+    y = np.minimum(x, _ERFC_X_MAX)
+    num = y * _ERFC_P[0]
+    num += _ERFC_P[1]
+    for coeff in _ERFC_P[2:]:
+        num *= y
+        num += coeff
+    den = y * _ERFC_Q[0]
+    den += _ERFC_Q[1]
+    for coeff in _ERFC_Q[2:]:
+        den *= y
+        den += coeff
+    num /= den
+    num *= np.exp(-(x * x))
+    return num
 
 
 def _cos_gamma(z: float) -> float:
@@ -20,7 +51,7 @@ def _cos_gamma(z: float) -> float:
     """
     if not 0.0 < z < 2.0:
         raise ValueError(f"argument must be in (0, 2), got {z}")
-    return math.pi / (2.0 * math.sin(math.pi * z / 2.0) * gamma_fn(z))
+    return math.pi / (2.0 * math.sin(math.pi * z / 2.0) * math.gamma(z))
 
 
 def limit_scale(params: StableParams, p: float) -> StableParams:
@@ -58,8 +89,9 @@ def ref_cdf_half_stable(c_prime, x) -> float | np.ndarray:
     if not np.all(c > 0.0):
         raise ValueError("c_prime must be positive")
     xv = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(xv > 0.0, erfc(np.sqrt(c / (2.0 * xv))), 0.0)
+    # x -> 0+ overflows c / (2x) to +inf, where erfc is exactly 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = np.where(xv > 0.0, _erfc(np.sqrt(c / (2.0 * xv))), 0.0)
     return float(out) if out.ndim == 0 else out
 
 

@@ -1,6 +1,8 @@
 import json
 import os
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -239,6 +241,18 @@ class TestEstimate:
         assert len(fixed) == 1 + 4
         assert "plot" in open(base + ".gp").read()
 
+    def test_refine_onto_window_edge_warns(self, tmp_path, capsys):
+        # Gaussian noise on 20 small blocks: the grid argmin is the interior
+        # cell p = 3.55, and the refine ends within REFINE_XATOL of p_max = 3.6
+        inp, base = str(tmp_path / "g.csv"), str(tmp_path / "gfit")
+        assert run(["simulate", "--alpha", "2", "--drift", "zero", "--m", "20", "--n", "50",
+                    "--fine-multiplier", "2", "--output", inp]) == 0
+        assert run(["estimate", "--input", inp, "--output", base]) == 0
+        assert "warning: minimum on the search-grid boundary" in capsys.readouterr().out
+        result = dict(ln.split(" ", 1) for ln in open(base + ".result.txt").read().splitlines())
+        assert result["boundary"] == "True"
+        assert 3.6 - float(result["p_star"]) <= 1e-4
+
     def test_gnuplot_quotes_the_output_base(self, tmp_path):
         # gnuplot reads '' inside a single-quoted string as one '
         inp = self.simulate_input(tmp_path, m=40)
@@ -443,6 +457,19 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "PASS" in out
         assert code == 0
+
+
+class TestImport:
+    def test_cli_does_not_import_scipy(self):
+        # scipy is a test dependency only; a fresh interpreter shows what the
+        # package itself imports
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        code = ("import sys, stablevar.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestParser:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import optimize
 from scipy.stats import kstest
 
 from stablevar import estimator
@@ -288,6 +289,9 @@ class TestEstimate:
         assert 5.0 < res.c_star < 8.0
         assert res.d_min < 0.15
         assert not res.surface.boundary
+        # the refine moved off the grid cell, and not onto the window's edge
+        assert res.p_star != res.surface.argmin[1]
+        assert not res.boundary
 
     def test_scale_equivariance(self):
         lam = 2.0
@@ -337,17 +341,27 @@ class TestEstimate:
         # and the Nelder-Mead start vertex must score D_min there, not the 1.0
         # given to points outside the window
         blocked = block_split(np.random.default_rng(seed).normal(size=200 * 200), 200)
-        minimize = estimator.optimize.minimize
+        nelder_mead = estimator._nelder_mead
         starts = []
 
         def spy(fun, x0, **kwargs):
             starts.append(fun(x0))
-            return minimize(fun, x0, **kwargs)
+            return nelder_mead(fun, x0, **kwargs)
 
-        monkeypatch.setattr(estimator.optimize, "minimize", spy)
+        monkeypatch.setattr(estimator, "_nelder_mead", spy)
         res = estimate(blocked)
         assert res.surface.argmin[1] == res.surface.p_grid[-1] == GridConfig().p_max
         assert starts == [res.surface.argmin[2]]
+
+    def test_refine_onto_window_edge_sets_boundary(self):
+        # on 20 small Gaussian blocks the grid argmin is an interior cell, p =
+        # 3.55, but the refine runs onto the window's top edge p_max = 3.6
+        blocked = block_split(np.random.default_rng(1).normal(size=20 * 50), 50)
+        res = estimate(blocked)
+        assert res.surface.argmin[1] < GridConfig().p_max
+        assert not res.surface.boundary
+        assert GridConfig().p_max - res.p_star <= estimator.REFINE_XATOL
+        assert res.boundary
 
     def test_boundary_flag_on_gaussian_input(self):
         # Gaussian data pushes p* to the top of a deliberately short p window
@@ -357,6 +371,84 @@ class TestEstimate:
                          c_step=0.25, refine=False)
         res = estimate(blocked, cfg)
         assert res.surface.boundary
+        assert res.boundary
+
+
+def scipy_nelder_mead(func, x0):
+    res = optimize.minimize(func, x0, method="Nelder-Mead",
+                            options={"xatol": 1e-4, "fatol": 1e-6, "maxiter": 400})
+    return res.x, res.fun
+
+
+def recorded(func):
+    """func, and the list of the points it is called at."""
+    calls = []
+
+    def wrapper(x):
+        calls.append(x.tobytes())
+        return func(x)
+    return wrapper, calls
+
+
+def assert_same_run(func, x0):
+    # the same points evaluated in the same order, and the same result bits
+    port, port_calls = recorded(func)
+    ref, ref_calls = recorded(func)
+    x, fun = estimator._nelder_mead(port, x0)
+    x_ref, fun_ref = scipy_nelder_mead(ref, x0)
+    assert port_calls == ref_calls
+    assert x.tobytes() == x_ref.tobytes()
+    assert float(fun) == float(fun_ref)
+
+
+COEFF = st.floats(0.1, 10.0)
+START = st.one_of(st.just(0.0), st.floats(-5.0, 5.0))
+
+
+class TestNelderMead:
+    """estimator._nelder_mead against scipy.optimize.minimize(method=
+    "Nelder-Mead") with the estimator's options, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["quadratic", "rosenbrock", "abs", "steps"]),
+           COEFF, COEFF, st.floats(-0.9, 0.9), START, START, START, START)
+    def test_matches_scipy_on_random_objectives(self, shape, a, b, r, u, v, x, y):
+        def quadratic(z):
+            du, dv = z[0] - u, z[1] - v
+            return a * du * du + b * dv * dv + 2.0 * r * math.sqrt(a * b) * du * dv
+
+        objectives = {
+            "quadratic": quadratic,
+            "rosenbrock": lambda z: (u - z[0]) ** 2 + a * (z[1] - z[0] * z[0]) ** 2,
+            "abs": lambda z: abs(z[0] - u) + b * abs(z[1] - v),
+            # a staircase: ties in the simplex's values
+            "steps": lambda z: math.floor(quadratic(z)),
+        }
+        assert_same_run(objectives[shape], [x, y])
+
+    @pytest.mark.parametrize("data", ["gaussian-0", "gaussian-3", "stable"])
+    def test_matches_scipy_on_estimator_objective(self, monkeypatch, data):
+        # Gaussian data start the refine on the top edge of the window, where
+        # the vertices outside it tie at 1.0
+        if data == "stable":
+            inc = np.concatenate([simulate_levy(StableParams(0.75, 6.35), 200, 1.0,
+                                                RandomStream(8, i)).increments() for i in range(60)])
+        else:
+            inc = np.random.default_rng(int(data[-1])).normal(size=60 * 200)
+        captured = []
+
+        def spy(func, x0):
+            captured.append((func, x0))
+            return scipy_nelder_mead(func, x0)
+
+        monkeypatch.setattr(estimator, "_nelder_mead", spy)
+        ref = estimate(block_split(inc, 200))
+        monkeypatch.undo()
+        (func, x0), = captured
+        assert_same_run(func, x0)
+        # and estimate itself reports the point scipy's refine found
+        res = estimate(block_split(inc, 200))
+        assert (res.c_star, res.p_star, res.d_min) == (ref.c_star, ref.p_star, ref.d_min)
 
 
 class TestCalibration:

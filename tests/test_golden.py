@@ -38,23 +38,23 @@ GOLDEN = {
     "simulate.csv":
         "c5a84ef94da02933f4dea427ae499b9b7a95e587bb3ee8716257a5ab83c26220",
     "estimate.surface.csv":
-        "00450e227b4e9780276c0394c94fb47dc57e42acd0aa97208a99b7f67e5ebe0c",
+        "856918d53340dddbaa1b074fa8a746d72005aad3451360cc02e986c2854e3eab",
     "estimate.slice.csv":
-        "96eb816fd3e8ff8e7d37d5070a2de64a9be123df659501b5e8e73336c04f9034",
+        "645a790c5aeb4477c3b2d514f29e5da16f63c25e0fb6843a560a24bc20644a77",
     "estimate.result.txt":
-        "e239c4b20bb5726cf791f53bafdcb81f06f1cbcb67553b288488c3d415e6f300",
+        "bd70c996d63215de3319d2aa14c2a38410866e4a0c2d3ea24991f3251b0c4837",
     "estimate.fixedc.csv":
-        "b460f42fd0f42d0fa229040d7522c7bb79af8f06494a0b3a1506cd70b45f4ffa",
+        "048a9db1d70226df0bf1c083ae32b2eccd7fd229c3ce76a7ca1046b6fac75a57",
     "levy.thm1-sub":
         "e8da3540d551d7d9cb79f9a1d419f09126521d043c12cd42b6e157012d70a358",
     "levy.thm1-sub.two-blocks":
         "4141683ec9e157b08c4cb2b41a4d6d443e3f1f3fb6f0465c471deb3ea415b422",
     "levy.thm1-comp":
-        "024e4d3c3ca94ca55e7fc7304fb97c5af81eb153760350a072d1044b52908ac4",
+        "8779da12e02ee8aa107f50f2553b5c1c16f909cfc50dad5b89e9c30f1ae87d27",
     "levy.thm3-lipschitz":
-        "b48af3fe286f8ed76b751c45c24c6f196aced1c96402cf20845fe82355ef8067",
+        "122c77c4a61d95e17aba34cba356fa30be3569de17ba6fd6669608c9ed19e407",
     "theorem-sample.thm3-lipschitz":
-        "a4a37f6bd69ac2a4217be8461cb3e3741d6b79d02a56c657149a34e219d440ec",
+        "26a3101436457f145df5521ae7b4713950f6dfa8c0cd35e20ee5673fd8b90b77",
     "sde.cor-sde.sde":
         "20796d9cc7dd9d8b87c926f8d8b12220e0df14085568673f08c3845448476b82",
     "sde.cor-sde.levy":

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.special import erfc
 from scipy.stats import kstest
 
-from stablevar.limit_law import limit_scale, ref_cdf_half_stable, sample_limit
+from stablevar.limit_law import _erfc, limit_scale, ref_cdf_half_stable, sample_limit
 from stablevar.pvariation import compensator
 from stablevar.scenarios import ks_threshold, levy_statistic_sample, two_sample_ks
 from stablevar.stable_law import RandomStream, StableParams
@@ -77,6 +78,27 @@ class TestLimitScale:
     def test_rejects_small_p(self):
         with pytest.raises(ValueError):
             limit_scale(StableParams(1.5, 1.0), 0.75)
+
+
+class TestErfc:
+    def test_matches_scipy_on_dense_grid(self):
+        # the KS distance needs absolute accuracy; scipy's erfc is the
+        # reference, also near 0 and around the end of the fit at x = 6
+        x = np.concatenate([np.linspace(0.0, 40.0, 400_001), np.logspace(-300, 0, 301),
+                            np.linspace(5.9, 6.1, 2001), [1e10, 1e154]])
+        assert np.max(np.abs(_erfc(x) - erfc(x))) <= 1e-15
+
+    def test_exact_ends(self):
+        out = _erfc(np.array([0.0, np.inf]))
+        assert out[0] == 1.0 and out[1] == 0.0
+        assert _erfc(np.array(0.0)) == 1.0
+
+    def test_ref_cdf_is_zero_not_nan_as_x_reaches_zero(self):
+        # c / (2x) overflows to +inf: erfc(inf) must be 0, for a NaN here would
+        # stop the estimate as a non-finite distance
+        x = np.array([5e-324, 1e-320, 1e-310, 1e-300])
+        out = ref_cdf_half_stable(np.array([[0.5], [20.0]]), x)
+        assert np.all(out == 0.0)
 
 
 class TestRefCdf:

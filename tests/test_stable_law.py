@@ -1,12 +1,15 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import expi, gamma as gamma_fn
+from scipy import integrate
+from scipy.special import expi, gamma as gamma_fn, loggamma
 from scipy.stats import kstest, ks_2samp, levy_stable, norm
 
+from stablevar import stable_law
 from stablevar.stable_law import (
     ALPHA_ONE_TOL,
     RandomStream,
@@ -20,8 +23,9 @@ from stablevar.stable_law import (
 
 # alpha != 1: at alpha = 1 only beta = 0 has closed-form moments
 ALPHAS = st.floats(0.1, 1.95).filter(lambda a: abs(a - 1.0) > 1e-6)
-# sin_moment costs up to ~1 s per call within 0.01 of alpha = 1 with
-# beta != 0 (test_skewed_near_alpha_one_vs_mc covers alpha = 0.99)
+# sin_moment's node count grows like 1/|alpha - 1| with beta != 0 (0.2 s
+# per call at 0.001 from alpha = 1); TestSinMoment covers alpha = 0.99,
+# 0.999 and 1.001
 SIN_ALPHAS = st.floats(0.3, 2.0).filter(lambda a: abs(a - 1.0) > 0.05)
 
 
@@ -257,7 +261,78 @@ class TestAbsMoment:
             abs_moment(StableParams(alpha, 1.3, beta), p), rel=1e-12)
 
 
+class TestLogGamma:
+    def test_real_axis_matches_scipy(self):
+        x = np.linspace(-0.99, 30.0, 6001)
+        x = x[x != 0.0]
+        ref = loggamma(x + 0j).real
+        assert np.max(np.abs(stable_law._loggamma(x).real - ref) / np.maximum(1.0, np.abs(ref))) < 2e-14
+
+    @pytest.mark.parametrize("re", [-0.5, 0.25, 0.5, 0.75, 1.0, 1.5])
+    def test_lines_the_package_uses(self, re):
+        # sin_moment evaluates log Gamma on Re z = -1/2, 1/2 + alpha/4, 3/2 and
+        # 1 - alpha/4; the branch of the imaginary part is free, since callers
+        # exponentiate or take the real part, so compare exp of the difference.
+        # Im log Gamma is about t log t, and one ulp of it at |t| = 2000 is 1.8e-12
+        z = re + 1j * np.linspace(-2000.0, 2000.0, 40_001)
+        diff = stable_law._loggamma(z) - loggamma(z)
+        assert np.max(np.abs(np.expm1(diff))) < 1e-11
+        assert np.max(np.abs(diff.real) / np.maximum(1.0, np.abs(loggamma(z).real))) < 1e-14
+
+
+def quad_sin_moment(params, n):
+    """sin_moment's line integral by QUADPACK with scipy's log-gamma, an
+    independent evaluation, up to t = T where the integrand has decayed by
+    e^-60 (and cmath.sin and cos do not overflow)."""
+    a, c, beta = params.alpha, params.scale_C, params.beta
+    zeta = beta * math.tan(math.pi * a / 2.0)
+
+    def integrand(t):
+        s = complex(-0.5, t)
+        q = -a * s
+        log_moment = (
+            q * math.log(2.0 * c) + loggamma((1.0 + q) / 2.0) - 0.5 * math.log(math.pi)
+            + loggamma(1.0 - q / a) - loggamma(1.0 - q / 2.0)
+            + q / (2.0 * a) * math.log1p(zeta * zeta) + cmath.log(cmath.cos(q / a * math.atan(zeta)))
+        )
+        return cmath.exp(loggamma(s) + cmath.log(cmath.sin(math.pi * s / 2.0)) + s * math.log(n)
+                         + log_moment).real
+
+    t_max = 60.0 / (math.pi / 2.0 - abs(math.atan(zeta)))
+    val, _ = integrate.quad(integrand, 0.0, t_max, limit=10_000, epsabs=1e-13, epsrel=1e-11)
+    return val / math.pi
+
+
 class TestSinMoment:
+    @pytest.mark.parametrize("alpha,c,beta", [
+        (1.5, 1.0, 0.0), (1.2, 2.0, 0.5), (0.75, 1.0, -0.3), (1.9, 1.0, 0.9), (0.3, 2.0, 0.0),
+    ])
+    @pytest.mark.parametrize("n", [1, 64, 10**4])
+    def test_trapezoid_matches_quadpack(self, alpha, c, beta, n):
+        p = StableParams(alpha, c, beta)
+        assert sin_moment(p, n) == pytest.approx(quad_sin_moment(p, n), rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.999, 1.001])
+    def test_near_alpha_one_stable_under_half_step(self, monkeypatch, alpha):
+        # about 1.8e5 nodes at h = 0.08: the rule has converged, so halving
+        # the step moves the result only by rounding
+        p = StableParams(alpha, 1.0, 0.5)
+        v = sin_moment(p, 10**4)
+        monkeypatch.setattr(stable_law, "SIN_STEP", stable_law.SIN_STEP / 2.0)
+        assert abs(sin_moment(p, 10**4) - v) < 1e-12
+
+    def test_node_cap_raises(self):
+        # at alpha = 1 + 1e-5, beta = 0.5 the rule would need 1.8e7 nodes
+        with pytest.raises(ValueError, match="SIN_MAX_NODES"):
+            sin_moment(StableParams(1.00001, 1.0, 0.5), 100)
+
+    def test_nodes_summed_in_bounded_chunks(self, monkeypatch):
+        # a chunk of 1000 nodes gives the one-chunk value up to rounding
+        p = StableParams(1.2, 2.0, 0.5)
+        v = sin_moment(p, 300)
+        monkeypatch.setattr(stable_law, "SIN_CHUNK", 1000)
+        assert sin_moment(p, 300) == pytest.approx(v, rel=1e-14)
+
     def test_bounded(self):
         assert -1.0 <= sin_moment(StableParams(0.9, 2.0), 50) <= 1.0
 
