@@ -6,7 +6,9 @@ from stablevar.path_sim import PathSample, simulate_levy
 from stablevar.pvariation import compensated_terminal, compensator, terminal_pvariation
 from stablevar.limit_law import limit_scale, ref_cdf_half_stable, sample_limit
 from stablevar.estimator import (
+    EstimationError,
     EstimationResult,
+    GridConfig,
     KSSurface,
     block_split,
     estimate,
@@ -28,8 +30,10 @@ __all__ = [
     "limit_scale",
     "ref_cdf_half_stable",
     "sample_limit",
+    "GridConfig",
     "KSSurface",
     "EstimationResult",
+    "EstimationError",
     "block_split",
     "ks_distance",
     "ks_surface",

@@ -197,25 +197,29 @@ def cmd_estimate(args) -> int:
     print(f"D_min  = {result.d_min:.6g}")
     if result.boundary:
         print("warning: minimum on the search-grid boundary")
-    if result.surface.tie_count > 1:
-        print(f"warning: {result.surface.tie_count} grid cells tie at the minimum")
+    if result.tie_count > 1:
+        print(f"warning: {result.tie_count} grid cells tie at the minimum")
     return EXIT_OK
+
+
+def _write_rows(path, header, columns):
+    """Write a CSV of the header line, then one line per row of the equal
+    length 1-D float arrays in columns, each value as its shortest repr."""
+    text = [map(repr, col.tolist()) for col in columns]
+    with open(path, "w") as fh:
+        fh.write("\n".join([header, *map(",".join, zip(*text))]) + "\n")
 
 
 def _write_surface(path, result):
     surf = result.surface
-    with open(path, "w") as fh:
-        fh.write("C,p,D\n")
-        for i, c in enumerate(surf.c_grid):
-            for j, p in enumerate(surf.p_grid):
-                fh.write(f"{float(c)!r},{float(p)!r},{float(surf.d_values[i, j])!r}\n")
+    c = np.repeat(surf.c_grid, len(surf.p_grid))
+    p = np.tile(surf.p_grid, len(surf.c_grid))
+    _write_rows(path, "C,p,D", [c, p, surf.d_values.ravel()])
 
 
 def _write_slice(path, result):
-    with open(path, "w") as fh:
-        fh.write("p,alpha,best_C,D\n")
-        for p, c, d in result.slice_best_c:
-            fh.write(f"{float(p)!r},{float(p) / 2.0!r},{float(c)!r},{float(d)!r}\n")
+    p, c, d = result.slice_best_c.T
+    _write_rows(path, "p,alpha,best_C,D", [p, p / 2.0, c, d])
 
 
 def _write_result(path, result, shape):
@@ -228,19 +232,16 @@ def _write_result(path, result, shape):
         f"m {m}",
         f"n {n}",
         f"boundary {result.boundary}",
-        f"tie_count {result.surface.tie_count}",
+        f"tie_count {result.tie_count}",
     ]
-    for k, (c, p, d) in enumerate(result.surface.local_minima[:8]):
+    for k, (c, p, d) in enumerate(result.local_minima[:8]):
         lines.append(f"local_min_{k} C={c!r} p={p!r} D={d!r}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def _write_fixed_c(path, fixed):
-    with open(path, "w") as fh:
-        fh.write("p,alpha,D\n")
-        for p, d in zip(fixed.p_grid, fixed.d_values[0]):
-            fh.write(f"{float(p)!r},{float(p) / 2.0!r},{float(d)!r}\n")
+    _write_rows(path, "p,alpha,D", [fixed.p_grid, fixed.p_grid / 2.0, fixed.d_values[0]])
 
 
 def _write_gnuplot(path, base):

@@ -4,7 +4,8 @@ over (C, p). The estimates are alpha* = p*/2 and C*."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,12 +51,24 @@ def ks_distance(values, c_prime):
 def _c_prime_coupled(c, p: float):
     """Scale transfer C' = C^p k(p), k(p) = C'(1, p), under the coupling
     alpha = p/2 that makes the limit exactly half-stable; c may be an array.
-    Scalar pow, as in limit_scale (numpy's array power may differ by an ulp)."""
+    Scalar pow, as in limit_scale (numpy's array power may differ by an ulp).
+    Raises ValueError, naming C and p, for a C that is not finite and positive
+    or a C' that is not (C^p overflows or underflows)."""
     c = np.asarray(c, dtype=float)
-    if not np.all(c > 0.0):
-        raise ValueError("C must be positive")
     k = limit_scale(StableParams(p / 2.0, 1.0, 0.0), p).scale_C
-    c_prime = np.array([ci ** float(p) for ci in c.ravel().tolist()]).reshape(c.shape) * k
+    powers = []
+    for ci in c.ravel().tolist():
+        if not 0.0 < ci < math.inf:
+            raise ValueError(f"C must be finite and positive, got C={ci!r} at p={float(p)!r}")
+        try:
+            powers.append(ci ** float(p))
+        except OverflowError:
+            powers.append(math.inf)
+    c_prime = np.array(powers).reshape(c.shape) * k
+    bad = ~((0.0 < c_prime) & (c_prime < math.inf))
+    if np.any(bad):
+        raise ValueError(f"the half-stable scale C^p k(p) = {float(c_prime[bad][0])!r} at "
+                         f"C={float(c[bad][0])!r}, p={float(p)!r} is not finite and positive")
     return float(c_prime) if c_prime.ndim == 0 else c_prime
 
 
@@ -66,16 +79,24 @@ def _coupled_distance(blocks: np.ndarray, c, p: float):
     return ks_distance(terminal_pvariation(blocks, p), _c_prime_coupled(c, p))
 
 
-def _strict_local_minima(d: np.ndarray) -> np.ndarray:
-    """Mask of the cells strictly below all of their (up to 8) grid neighbors."""
+def _grid_summary(c_grid, p_grid, d):
+    """The fit's summary of the surface d: the grid argmin (C, p, D), the
+    number of cells that tie with it, the strict local minima (cells below
+    all of their up to 8 neighbors) sorted by D, and whether the argmin lies
+    on the edge of the grid."""
     rows, cols = d.shape
+    i0, j0 = np.unravel_index(int(np.argmin(d)), d.shape)
+    d_min = float(d[i0, j0])
     padded = np.pad(d, 1, constant_values=np.inf)
-    mask = np.ones(d.shape, dtype=bool)
+    strict = np.ones(d.shape, dtype=bool)
     for di in (0, 1, 2):
         for dj in (0, 1, 2):
             if (di, dj) != (1, 1):
-                mask &= d < padded[di: di + rows, dj: dj + cols]
-    return mask
+                strict &= d < padded[di: di + rows, dj: dj + cols]
+    minima = sorted(((float(c_grid[i]), float(p_grid[j]), float(d[i, j]))
+                     for i, j in np.argwhere(strict)), key=lambda t: t[2])
+    edge = bool(i0 in (0, rows - 1) or j0 in (0, cols - 1))
+    return (float(c_grid[i0]), float(p_grid[j0]), d_min), int(np.sum(d == d_min)), minima, edge
 
 
 @dataclass(frozen=True)
@@ -86,35 +107,6 @@ class KSSurface:
     c_grid: np.ndarray
     p_grid: np.ndarray
     d_values: np.ndarray
-    argmin: tuple  # (C*, p*, D_min)
-    local_minima: list = field(default_factory=list)
-    tie_count: int = 1
-    boundary: bool = False  # the argmin lies on the edge of the grid
-
-    @classmethod
-    def from_values(cls, c_grid, p_grid, d) -> "KSSurface":
-        """Locate the minimum of d, its ties, and the secondary local minima
-        (cells strictly below all 8 neighbors), sorted by D."""
-        bad = np.argwhere(~np.isfinite(d))
-        if len(bad) > 0:
-            i, j = bad[0]
-            raise EstimationError(
-                f"non-finite distance at grid point C={c_grid[i]}, p={p_grid[j]}"
-            )
-        i0, j0 = np.unravel_index(int(np.argmin(d)), d.shape)
-        d_min = float(d[i0, j0])
-        minima = [
-            (float(c_grid[i]), float(p_grid[j]), float(d[i, j]))
-            for i, j in np.argwhere(_strict_local_minima(d))
-        ]
-        minima.sort(key=lambda t: t[2])
-        return cls(
-            c_grid, p_grid, d,
-            argmin=(float(c_grid[i0]), float(p_grid[j0]), d_min),
-            local_minima=minima,
-            tie_count=int(np.sum(d == d_min)),
-            boundary=bool(i0 in (0, d.shape[0] - 1) or j0 in (0, d.shape[1] - 1)),
-        )
 
 
 def ks_surface(blocks: np.ndarray, c_grid, p_grid) -> KSSurface:
@@ -125,7 +117,11 @@ def ks_surface(blocks: np.ndarray, c_grid, p_grid) -> KSSurface:
     if len(c_grid) == 0 or len(p_grid) == 0:
         raise ValueError("grids must be non-empty")
     d = np.column_stack([_coupled_distance(blocks, c_grid, p) for p in p_grid])
-    return KSSurface.from_values(c_grid, p_grid, d)
+    bad = np.argwhere(~np.isfinite(d))
+    if len(bad) > 0:
+        i, j = bad[0]
+        raise EstimationError(f"non-finite distance at grid point C={c_grid[i]}, p={p_grid[j]}")
+    return KSSurface(c_grid, p_grid, d)
 
 
 REFINE_XATOL = 1e-4
@@ -201,12 +197,18 @@ M_MIN = 20
 """Fewest blocks estimate accepts: below this the empirical CDF is too coarse
 for the KS distance to locate a minimum."""
 
+MAX_GRID_CELLS = 1_000_000
+"""Most (C, p) grid cells a GridConfig accepts, about 220 times the default
+57 x 79 = 4,503. Each cell is one KS distance over the m blocks (about 6 us
+at m = 200 on a 2-core x86 host), so this bounds the grid search's time
+before any array is built."""
+
 
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
     """The points lo, lo + step, ... of np.arange that lie in [lo, hi], where a
-    point within rounding (1e-9 steps) of hi is hi itself."""
+    point after lo within rounding (1e-9 steps) of hi is hi itself."""
     g = np.arange(lo, hi + step / 2.0, step)
-    g[np.abs(g - hi) <= 1e-9 * step] = hi
+    g[1:][np.abs(g[1:] - hi) <= 1e-9 * step] = hi
     return g[g <= hi]
 
 
@@ -226,11 +228,17 @@ class GridConfig:
     def __post_init__(self):
         if not (0 < self.p_min < self.p_max and 0 < self.c_min < self.c_max):
             raise ValueError("infeasible grid bounds")
-        if not (self.p_step > 0 and self.c_step > 0):
-            raise ValueError("grid steps must be positive")
+        if not (0 < self.p_step < math.inf and 0 < self.c_step < math.inf):
+            raise ValueError("grid steps must be positive and finite")
         if not self.p_max < 4.0:
             raise ValueError(f"p window [{self.p_min}, {self.p_max}] reaches p = 4; "
                              "the coupling alpha = p/2 needs p < 4")
+        # span / step + 1 on each axis is at least the points its grid holds
+        cells = ((self.p_max - self.p_min) / self.p_step + 1) * (
+            (self.c_max - self.c_min) / self.c_step + 1)
+        if not cells <= MAX_GRID_CELLS:
+            raise ValueError(f"the window's (C, p) grid would hold {cells:.3g} cells, "
+                             f"more than MAX_GRID_CELLS = {MAX_GRID_CELLS}")
 
     def p_grid(self) -> np.ndarray:
         return _grid(self.p_min, self.p_max, self.p_step)
@@ -247,6 +255,9 @@ class EstimationResult:
     d_min: float
     surface: KSSurface
     slice_best_c: np.ndarray  # rows (p, best C, D at best C)
+    grid_argmin: tuple  # (C, p, D) of the best grid cell, where the refine starts
+    tie_count: int  # grid cells whose D equals the grid minimum
+    local_minima: list  # (C, p, D) of each strict local minimum of the grid, by D
     # the grid argmin lies on the edge of the grid, or the refined point
     # within REFINE_XATOL of an edge of the window
     boundary: bool
@@ -256,7 +267,8 @@ def estimate(blocks: np.ndarray, config: GridConfig | None = None) -> Estimation
     """Coarse grid search over (C, p) for the (m, n) array of block
     increments, followed by Nelder-Mead refinement from the best grid cell.
     Returns alpha* = p*/2 and C* along with the surface, the per-p best-C
-    slice and the boundary flag."""
+    slice and the fit's summary: the grid argmin, its ties, the local minima
+    and the boundary flag."""
     if config is None:
         config = GridConfig()
     if np.ndim(blocks) != 2:
@@ -270,8 +282,9 @@ def estimate(blocks: np.ndarray, config: GridConfig | None = None) -> Estimation
     if not np.any(blocks):
         raise EstimationError("every block p-variation is zero (constant series)")
     surf = ks_surface(blocks, config.c_grid(), config.p_grid())
-    c_star, p_star, d_min = surf.argmin
-    boundary = surf.boundary
+    grid_argmin, tie_count, local_minima, boundary = _grid_summary(
+        surf.c_grid, surf.p_grid, surf.d_values)
+    c_star, p_star, d_min = grid_argmin
 
     # per-p slice minimized over C (the curve plotted against alpha = p/2)
     best_idx = np.argmin(surf.d_values, axis=0)
@@ -303,5 +316,8 @@ def estimate(blocks: np.ndarray, config: GridConfig | None = None) -> Estimation
         d_min=d_min,
         surface=surf,
         slice_best_c=slice_best_c,
+        grid_argmin=grid_argmin,
+        tie_count=tie_count,
+        local_minima=local_minima,
         boundary=boundary,
     )

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import stat
 import subprocess
@@ -336,7 +337,7 @@ class TestEstimate:
         ]) == 4
         assert "p window" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("c_fixed", ["0", "-1"])
+    @pytest.mark.parametrize("c_fixed", ["0", "-1", "inf", "nan", "1e300"])
     def test_non_positive_fixed_c_exits_4(self, tmp_path, capsys, c_fixed):
         inp = self.simulate_input(tmp_path, m=40)
         base = str(tmp_path / "e")
@@ -346,9 +347,35 @@ class TestEstimate:
             "--c-min", "4.0", "--c-max", "9.0", "--c-step", "1.0",
             "--fixed-c", c_fixed,
         ]) == 4
-        assert "positive" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "positive" in err and err.count("\n") == 1
         for suffix in (".surface.csv", ".slice.csv", ".result.txt", ".fixedc.csv"):
             assert not os.path.exists(base + suffix)
+
+    def test_overflowing_c_window_exits_4(self, tmp_path, capsys):
+        # C^p overflows on the grid: a one-line refusal, not an OverflowError
+        inp = self.simulate_input(tmp_path, m=40)
+        base = str(tmp_path / "e")
+        assert run([
+            "estimate", "--input", inp, "--output", base,
+            "--c-min", "1e200", "--c-max", "3e200", "--c-step", "1e200",
+        ]) == 4
+        err = capsys.readouterr().err
+        assert "C^p k(p) = inf at C=1e+200" in err and err.count("\n") == 1
+        assert not any(tmp_path.glob("e.*"))
+
+    @pytest.mark.parametrize("window", [
+        ["--c-max", "1e308", "--c-step", "1e300"], ["--c-max", "inf"], ["--c-step", "1e-300"],
+        ["--c-step", "1e-7"],
+    ], ids=["huge-window", "infinite-c-max", "tiny-step", "fine-step"])
+    def test_oversized_grid_exits_4(self, tmp_path, capsys, monkeypatch, window):
+        # refused from the window alone, before a grid is built
+        inp = self.simulate_input(tmp_path, m=40)
+        monkeypatch.setattr(np, "arange", lambda *a, **k: pytest.fail("grid built"))
+        assert run(["estimate", "--input", inp, "--output", str(tmp_path / "e"), *window]) == 4
+        err = capsys.readouterr().err
+        assert "MAX_GRID_CELLS" in err and err.count("\n") == 1
+        assert not any(tmp_path.glob("e.*"))
 
     def test_non_finite_value_exits_3(self, tmp_path, capsys):
         inp = tmp_path / "nan.csv"
@@ -420,6 +447,42 @@ class TestSimulateThenEstimate:
         assert code == 0, err
         assert run(["estimate", f"--input={data}", f"--output={tmp_path / 'fit'}"]) == 0, \
             capsys.readouterr().err
+
+
+ESTIMATE_NUMBERS = ("--p-min", "--p-max", "--p-step", "--c-min", "--c-max", "--c-step",
+                    "--fixed-c")
+EXTREMES = (0.0, 5e-324, 1e-300, -1.0, 1e300, 1e308, math.inf, -math.inf, math.nan)
+
+
+@pytest.fixture(scope="module")
+def small_series(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("series") / "s.csv")
+    assert main(["simulate", "--m", "30", "--n", "50", "--fine-multiplier", "2", "--seed", "1",
+                 "--output", path]) == 0
+    return path
+
+
+class TestEstimateExtremeFlags:
+    # deterministic: derandomized, and hypothesis tries each of the 63
+    # (flag, value) pairs, so no false-failure rate; each example takes
+    # under 0.1 s
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(flag=st.sampled_from(ESTIMATE_NUMBERS), value=st.sampled_from(EXTREMES))
+    def test_exits_0_or_4_with_one_line(self, small_series, tmp_path, capsys, flag, value):
+        # one numeric flag at an extreme, the others at their defaults
+        for old in tmp_path.glob("fit.*"):
+            old.unlink()
+        code = run(["estimate", f"--input={small_series}", f"--output={tmp_path / 'fit'}",
+                    f"{flag}={value!r}"])
+        out, err = capsys.readouterr()
+        if code == 4:
+            assert out == ""
+            assert err.startswith("estimation aborted: ") and err.count("\n") == 1
+            assert not any(tmp_path.glob("fit.*"))
+        else:
+            assert code == 0 and err == ""
+            assert out.startswith("alpha* = ")
 
 
 class TestVerify:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy.stats import kstest
 
 from stablevar import estimator
 from stablevar.estimator import (
+    MAX_GRID_CELLS,
     EstimationError,
     GridConfig,
     KSSurface,
@@ -148,7 +150,18 @@ class TestKsSurface:
 
     def test_argmin_attains_minimum(self):
         surf = ks_surface(self.make_blocked(), np.arange(1.0, 4.0, 0.5), np.arange(1.0, 2.5, 0.25))
-        assert surf.argmin[2] == pytest.approx(float(np.min(surf.d_values)), abs=0.0)
+        argmin = estimator._grid_summary(surf.c_grid, surf.p_grid, surf.d_values)[0]
+        assert argmin[2] == float(np.min(surf.d_values))
+
+    def test_holds_only_the_grid(self):
+        # the fit's summary lives on EstimationResult alone
+        names = [f.name for f in dataclasses.fields(KSSurface)]
+        assert names == ["c_grid", "p_grid", "d_values"]
+
+    def test_non_finite_distance_rejected(self, monkeypatch):
+        monkeypatch.setattr(estimator, "ks_distance", lambda v, c: np.full(np.shape(c), np.nan))
+        with pytest.raises(EstimationError, match="non-finite distance at grid point C=1.0, p=1.0"):
+            ks_surface(self.make_blocked(), [1.0, 2.0], [1.0])
 
     def test_block_permutation_invariance(self):
         blocked = self.make_blocked()
@@ -161,6 +174,25 @@ class TestKsSurface:
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             ks_surface(self.make_blocked(), [], [1.0])
+
+
+class TestCPrimeCoupled:
+    @pytest.mark.parametrize("c, problem", [
+        (float("inf"), "C must be finite and positive, got C=inf at p=1.5"),
+        (float("nan"), "C must be finite and positive, got C=nan at p=1.5"),
+        (0.0, "C must be finite and positive, got C=0.0 at p=1.5"),
+        (1e300, r"C\^p k\(p\) = inf at C=1e\+300, p=1.5 is not finite and positive"),
+        (1e-300, r"C\^p k\(p\) = 0.0 at C=1e-300, p=1.5 is not finite and positive"),
+    ])
+    def test_rejects_unrepresentable_scale(self, c, problem):
+        for arg in (c, [2.0, c]):
+            with pytest.raises(ValueError, match=problem):
+                estimator._c_prime_coupled(arg, 1.5)
+
+    def test_large_finite_scale_kept(self):
+        # 1e200^1.5 = 1e300 is finite, so is its C'
+        c_prime = estimator._c_prime_coupled(np.array([1e200]), 1.5)
+        assert np.all(np.isfinite(c_prime) & (c_prime > 0.0))
 
 
 def loop_local_minima(c_grid, p_grid, d):
@@ -185,7 +217,7 @@ surfaces = st.tuples(st.integers(1, 7), st.integers(1, 7)).flatmap(
 
 class TestGridConfig:
     @pytest.mark.parametrize("kwargs", [
-        {"p_step": 0}, {"c_step": -1}, {"p_step": float("nan")},
+        {"p_step": 0}, {"c_step": -1}, {"p_step": float("nan")}, {"c_step": float("inf")},
         {"p_min": 2, "p_max": 1}, {"c_min": 0}, {"c_min": 5.0, "c_max": 5.0},
     ])
     def test_rejects_bad_window(self, kwargs):
@@ -209,6 +241,21 @@ class TestGridConfig:
         assert p[0] == cfg.p_min and p[-1] <= cfg.p_max < 4.0
         assert cfg.p_max - p[-1] < cfg.p_step
 
+    # the CLI's tests run the window sizes of the C axis
+    @pytest.mark.parametrize("kwargs", [
+        {"p_step": 5e-324}, {"p_step": 1e-5},
+        {"c_min": 1.0, "c_max": MAX_GRID_CELLS + 1.0, "c_step": 1.0, "p_step": 1e300},
+    ])
+    def test_rejects_oversized_grid_before_building_it(self, monkeypatch, kwargs):
+        monkeypatch.setattr(np, "arange", lambda *a, **k: pytest.fail("grid built"))
+        with pytest.raises(ValueError, match="MAX_GRID_CELLS"):
+            GridConfig(**kwargs)
+
+    def test_grid_at_the_cell_cap_accepted(self):
+        # one p point, and C = 1, 2, ..., MAX_GRID_CELLS
+        cfg = GridConfig(c_min=1.0, c_max=float(MAX_GRID_CELLS), c_step=1.0, p_step=1e300)
+        assert len(cfg.p_grid()) * len(cfg.c_grid()) == MAX_GRID_CELLS
+
     def test_default_grids_end_at_window(self):
         cfg = GridConfig()
         p, c = cfg.p_grid(), cfg.c_grid()
@@ -217,21 +264,27 @@ class TestGridConfig:
 
     # deterministic: derandomized examples, so no false-failure rate
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(st.floats(0.01, 3.9), st.floats(0.001, 3.9), st.floats(1e-3, 1.0))
+    @given(st.floats(0.01, 3.9), st.floats(0.001, 3.9),
+           st.one_of(st.floats(1e-3, 1.0), st.floats(1.0, 1e300)))
     def test_grid_invariants(self, lo, width, step):
         hi = min(lo + width, 3.99)
-        cfg = GridConfig(p_min=lo, p_max=hi, p_step=step, c_min=lo, c_max=10 * hi, c_step=step)
-        for g, (a, b) in ((cfg.p_grid(), (lo, hi)), (cfg.c_grid(), (lo, 10 * hi))):
+        # each axis in its own window, the other coarse, so that the grid
+        # stays within MAX_GRID_CELLS
+        p_grid = GridConfig(p_min=lo, p_max=hi, p_step=step, c_step=5.0).p_grid()
+        c_grid = GridConfig(c_min=lo, c_max=10 * hi, c_step=step, p_step=1.0).c_grid()
+        for g, (a, b) in ((p_grid, (lo, hi)), (c_grid, (lo, 10 * hi))):
             assert g[0] == a and np.all((a <= g) & (g <= b))
             np.testing.assert_allclose(np.diff(g), step, rtol=1e-6)
             assert b - g[-1] < step * (1 + 1e-6)
+            # the size GridConfig bounds before building a grid
+            assert len(g) <= (b - a) / step + 1 + 1e-6
 
 
-def nearest_value_on_boundary(surf):
-    """Reference boundary flag: the grid indices of the argmin's values."""
-    i = int(np.argmin(np.abs(surf.c_grid - surf.argmin[0])))
-    j = int(np.argmin(np.abs(surf.p_grid - surf.argmin[1])))
-    return i in (0, len(surf.c_grid) - 1) or j in (0, len(surf.p_grid) - 1)
+def nearest_value_on_boundary(c_grid, p_grid, argmin):
+    """Reference grid-edge flag: the grid indices of the argmin's values."""
+    i = int(np.argmin(np.abs(c_grid - argmin[0])))
+    j = int(np.argmin(np.abs(p_grid - argmin[1])))
+    return i in (0, len(c_grid) - 1) or j in (0, len(p_grid) - 1)
 
 
 class TestLocalMinima:
@@ -240,15 +293,16 @@ class TestLocalMinima:
     def test_matches_loop_scan(self, d):
         c_grid = 1.0 + np.arange(d.shape[0])
         p_grid = 0.5 + 0.25 * np.arange(d.shape[1])
-        surf = KSSurface.from_values(c_grid, p_grid, d)
-        assert surf.local_minima == loop_local_minima(c_grid, p_grid, d)
-        assert surf.tie_count == int(np.sum(d == d.min()))
-        assert surf.boundary == nearest_value_on_boundary(surf)
+        argmin, tie_count, local_minima, edge = estimator._grid_summary(c_grid, p_grid, d)
+        assert argmin[2] == d.min()
+        assert local_minima == loop_local_minima(c_grid, p_grid, d)
+        assert tie_count == int(np.sum(d == d.min()))
+        assert edge == nearest_value_on_boundary(c_grid, p_grid, argmin)
 
     def test_plateau_is_not_a_minimum(self):
         d = np.array([[1.0, 1.0, 2.0], [2.0, 2.0, 0.0]])
-        surf = KSSurface.from_values(np.arange(1.0, 3.0), np.arange(1.0, 4.0), d)
-        assert surf.local_minima == [(2.0, 3.0, 0.0)]
+        local_minima = estimator._grid_summary(np.arange(1.0, 3.0), np.arange(1.0, 4.0), d)[2]
+        assert local_minima == [(2.0, 3.0, 0.0)]
 
 
 class TestEstimate:
@@ -288,10 +342,14 @@ class TestEstimate:
         assert 0.6 < res.alpha_star < 0.9
         assert 5.0 < res.c_star < 8.0
         assert res.d_min < 0.15
-        assert not res.surface.boundary
+        surf = res.surface
+        assert not nearest_value_on_boundary(surf.c_grid, surf.p_grid, res.grid_argmin)
         # the refine moved off the grid cell, and not onto the window's edge
-        assert res.p_star != res.surface.argmin[1]
+        assert res.p_star != res.grid_argmin[1]
         assert not res.boundary
+        # the summary is the one the grid's own helper gives
+        assert (res.grid_argmin, res.tie_count, res.local_minima) == estimator._grid_summary(
+            surf.c_grid, surf.p_grid, surf.d_values)[:3]
 
     def test_scale_equivariance(self):
         lam = 2.0
@@ -333,7 +391,7 @@ class TestEstimate:
         res = estimate(blocked, cfg)
         assert cfg.p_min <= res.p_star <= cfg.p_max
         assert cfg.c_min <= res.c_star <= cfg.c_max
-        assert res.d_min <= res.surface.argmin[2]
+        assert res.d_min <= res.grid_argmin[2]
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_refine_starts_at_surface_minimum(self, monkeypatch, seed):
@@ -350,16 +408,17 @@ class TestEstimate:
 
         monkeypatch.setattr(estimator, "_nelder_mead", spy)
         res = estimate(blocked)
-        assert res.surface.argmin[1] == res.surface.p_grid[-1] == GridConfig().p_max
-        assert starts == [res.surface.argmin[2]]
+        assert res.grid_argmin[1] == res.surface.p_grid[-1] == GridConfig().p_max
+        assert starts == [res.grid_argmin[2]]
 
     def test_refine_onto_window_edge_sets_boundary(self):
         # on 20 small Gaussian blocks the grid argmin is an interior cell, p =
         # 3.55, but the refine runs onto the window's top edge p_max = 3.6
         blocked = block_split(np.random.default_rng(1).normal(size=20 * 50), 50)
         res = estimate(blocked)
-        assert res.surface.argmin[1] < GridConfig().p_max
-        assert not res.surface.boundary
+        assert res.grid_argmin[1] < GridConfig().p_max
+        assert not nearest_value_on_boundary(res.surface.c_grid, res.surface.p_grid,
+                                             res.grid_argmin)
         assert GridConfig().p_max - res.p_star <= estimator.REFINE_XATOL
         assert res.boundary
 
@@ -370,7 +429,7 @@ class TestEstimate:
         cfg = GridConfig(p_min=0.8, p_max=1.6, p_step=0.1, c_min=0.5, c_max=5.0,
                          c_step=0.25, refine=False)
         res = estimate(blocked, cfg)
-        assert res.surface.boundary
+        assert res.grid_argmin[1] == res.surface.p_grid[-1]
         assert res.boundary
 
 
@@ -480,3 +539,17 @@ class TestCalibration:
             fits.append(estimate(blocks).alpha_star)
         hits = sum(abs(a - alpha) <= 0.15 for a in fits)
         assert hits >= min_hits, fits
+
+
+class TestPublicApi:
+    def test_every_public_name_imports(self):
+        import stablevar
+        namespace = {}
+        exec("from stablevar import *", namespace)
+        assert set(stablevar.__all__) <= set(namespace)
+
+    def test_estimate_takes_grid_config_and_raises_estimation_error(self):
+        import stablevar
+        blocks = np.zeros((30, 50))
+        with pytest.raises(stablevar.EstimationError, match="constant series"):
+            stablevar.estimate(blocks, stablevar.GridConfig(refine=False))
