@@ -5,6 +5,7 @@ over (C, p). The estimates are alpha* = p*/2 and C*."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,13 +21,12 @@ class EstimationError(RuntimeError):
 
 def block_split(increments, n: int, demean: bool = False) -> np.ndarray:
     """Group increments into m = floor(len/n) blocks of n, returned as an
-    (m, n) array; the trailing remainder is dropped. demean subtracts each
-    block's mean increment (off by default)."""
+    (m, n) array; the trailing remainder is dropped, and a series shorter
+    than n gives m = 0 (estimate refuses fewer than M_MIN blocks). demean
+    subtracts each block's mean increment (off by default)."""
     increments = np.asarray(increments, dtype=float)
     if n < 1:
         raise ValueError("n must be >= 1")
-    if len(increments) < 2 * n:
-        raise ValueError(f"series of length {len(increments)} is shorter than 2n={2 * n}")
     m = len(increments) // n
     blocks = increments[: m * n].reshape(m, n).copy()
     if demean:
@@ -34,17 +34,28 @@ def block_split(increments, n: int, demean: bool = False) -> np.ndarray:
     return blocks
 
 
+KS_CHUNK_VALUES = 1_000_000
+"""(c', value) pairs that ks_distance evaluates at once. Its temporaries take
+about 48 bytes a pair, so about 48 MB however long the C axis is; the
+default 79-point axis at m = 200 blocks is one chunk of 15,800 pairs."""
+
+
 def ks_distance(values, c_prime):
     """sup_{x>=0} |G(x) - F_{1/2,c'}(x)|, G the empirical CDF of values, by the
     exact formula: a float for a scalar c', else one distance per c' in
-    c_prime at once, as one (len(c_prime), m) broadcast."""
+    c_prime, as (k, m) broadcasts of k = KS_CHUNK_VALUES // m c' at a time."""
     xs = np.sort(np.asarray(values, dtype=float))
     m = len(xs)
-    f = ref_cdf_half_stable(np.asarray(c_prime, dtype=float)[..., None], xs)
+    c = np.asarray(c_prime, dtype=float)
+    d = np.empty(c.shape)
+    flat_c, flat_d = c.reshape(-1), d.reshape(-1)
     i = np.arange(1, m + 1)
-    d_plus = np.max(i / m - f, axis=-1)
-    d_minus = np.max(f - (i - 1) / m, axis=-1)
-    d = np.maximum(np.maximum(d_plus, d_minus), 0.0)
+    rows = max(1, KS_CHUNK_VALUES // max(m, 1))
+    for lo in range(0, len(flat_c), rows):
+        f = ref_cdf_half_stable(flat_c[lo:lo + rows, None], xs)
+        d_plus = np.max(i / m - f, axis=-1)
+        d_minus = np.max(f - (i - 1) / m, axis=-1)
+        flat_d[lo:lo + rows] = np.maximum(np.maximum(d_plus, d_minus), 0.0)
     return float(d) if d.ndim == 0 else d
 
 
@@ -110,8 +121,8 @@ class KSSurface:
 
 
 def ks_surface(blocks: np.ndarray, c_grid, p_grid) -> KSSurface:
-    """Evaluate D_n(C, p) of the (m, n) blocks on the full grid, one
-    broadcast over C per p."""
+    """Evaluate D_n(C, p) of the (m, n) blocks on the full grid: per p, one
+    ks_distance call walks the C axis in chunks of KS_CHUNK_VALUES pairs."""
     c_grid = np.asarray(c_grid, dtype=float)
     p_grid = np.asarray(p_grid, dtype=float)
     if len(c_grid) == 0 or len(p_grid) == 0:
@@ -233,6 +244,11 @@ class GridConfig:
         if not self.p_max < 4.0:
             raise ValueError(f"p window [{self.p_min}, {self.p_max}] reaches p = 4; "
                              "the coupling alpha = p/2 needs p < 4")
+        # Gamma(alpha) in k(p) is finite exactly where 1/alpha is
+        if not self.p_min / 2.0 * sys.float_info.max >= 1.0:
+            raise ValueError(f"p window [{self.p_min}, {self.p_max}] starts where the "
+                             "coupling alpha = p/2 is below 1/DBL_MAX = 5.6e-309, where "
+                             "Gamma(alpha) overflows")
         # span / step + 1 on each axis is at least the points its grid holds
         cells = ((self.p_max - self.p_min) / self.p_step + 1) * (
             (self.c_max - self.c_min) / self.c_step + 1)

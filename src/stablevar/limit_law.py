@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from stablevar.stable_law import ALPHA_ONE_TOL, RandomStream, StableParams, sample_stable
+from stablevar.stable_law import ALPHA_ONE_TOL, RandomStream, StableParams, _horner, sample_stable
 
 # Highest degree first. Fitted by tools/erfc_coefficients.py: the weighted
 # error exp(-x^2) |P/Q - exp(x^2) erfc(x)| is below 4.5e-17 on [0, 6].
@@ -28,17 +28,8 @@ def _erfc(x: np.ndarray) -> np.ndarray:
     there, an absolute error below erfc(6) = 2.2e-17."""
     x = np.asarray(x, dtype=float)
     y = np.minimum(x, _ERFC_X_MAX)
-    num = y * _ERFC_P[0]
-    num += _ERFC_P[1]
-    for coeff in _ERFC_P[2:]:
-        num *= y
-        num += coeff
-    den = y * _ERFC_Q[0]
-    den += _ERFC_Q[1]
-    for coeff in _ERFC_Q[2:]:
-        den *= y
-        den += coeff
-    num /= den
+    num = _horner(y, _ERFC_P)
+    num /= _horner(y, _ERFC_Q)
     num *= np.exp(-(x * x))
     return num
 

@@ -12,12 +12,13 @@ from stablevar.stable_law import StableParams, abs_moment, sin_moment
 
 def abs_powers(increments: np.ndarray, p: float) -> np.ndarray:
     """|x|^p elementwise as exp(p log|x|) for p > 0, in one buffer; a zero
-    increment gives exp(-inf) = 0 exactly."""
+    increment gives exp(-inf) = 0 exactly, and a power beyond the float range
+    is inf, as x**p would give, without a warning."""
     x = np.abs(np.asarray(increments, dtype=float))
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         np.log(x, out=x)
-    x *= p
-    return np.exp(x, out=x)
+        x *= p
+        return np.exp(x, out=x)
 
 
 def terminal_pvariation(increments: np.ndarray, p: float) -> float | np.ndarray:

@@ -231,12 +231,29 @@ MIN_PATHS = 5
 is at least 1.075, above any KS statistic, so the scenario could not fail."""
 
 
+MAX_PATHS = 2_000_000
+"""The most paths a scenario runs. A run holds O(m) arrays, about 300 bytes
+a path (0.6 GB here): the statistic rows or pairs, the reference draws and
+the KS test's sorted and searched copies. Beside them it holds the
+generators of one block of min(m, CHUNK_VALUES // min(n, CHUNK_STEPS))
+streams, about 0.84 kB a stream, so 0.84 GB at n = 1. At n = 10, peak
+memory grew by 275 bytes a path from m = 10^5 to 4 x 10^5."""
+
+MAX_STEPS = 25_000_000
+"""The most steps per path, about 1.4 GB here. At n > CHUNK_VALUES the
+Theorem walk holds one row of n increments, with its CMS and |x|^p scratch,
+n values each. The perturbation Y = sin is sampled on the n + 1 grid points
+as a Python list (about 32 bytes a point), which then becomes arrays. At
+m = 5, peak memory grew by 54 bytes a step from n = 2 x 10^6 to 6 x 10^6."""
+
+
 def check_sizes(m: int, n: int) -> None:
-    """Raise ValueError unless a scenario can run m paths of n steps: at
-    least MIN_PATHS paths and at least one step."""
-    if m < MIN_PATHS or n < 1:
+    """Raise ValueError unless a scenario can run m paths of n steps: from
+    MIN_PATHS to MAX_PATHS paths, from 1 to MAX_STEPS steps."""
+    if not (MIN_PATHS <= m <= MAX_PATHS and 1 <= n <= MAX_STEPS):
         raise ValueError(
-            f"a scenario needs m >= {MIN_PATHS} paths and n >= 1 steps, got m={m}, n={n}"
+            f"a scenario needs m >= {MIN_PATHS} paths and n >= 1 steps, and at most "
+            f"MAX_PATHS = {MAX_PATHS} paths of MAX_STEPS = {MAX_STEPS} steps, got m={m}, n={n}"
         )
 
 

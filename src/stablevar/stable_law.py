@@ -177,6 +177,18 @@ def sample_stable(params: StableParams, stream: RandomStream, size) -> np.ndarra
     return out
 
 
+def _horner(x: np.ndarray, coeffs) -> np.ndarray:
+    """The polynomial with coefficients coeffs, highest degree first (at least
+    two), at the array x by Horner's rule: x c_0 + c_1, then times x plus
+    c_2, and so on, in place on one new array."""
+    acc = x * coeffs[0]
+    acc += coeffs[1]
+    for coeff in coeffs[2:]:
+        acc *= x
+        acc += coeff
+    return acc
+
+
 _STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0,
              -691.0 / 360360.0, 1.0 / 156.0, -3617.0 / 122400.0)
 """B_2k / (2k (2k - 1)) for k = 1 .. 8, the coefficients of Stirling's series."""
@@ -196,11 +208,7 @@ def _loggamma(z) -> np.ndarray:
     shift = z.copy()
     for k in range(1, 10):
         shift *= z + k
-    r = 1.0 / (w * w)
-    series = np.full_like(w, _STIRLING[-1])
-    for coeff in _STIRLING[-2::-1]:
-        series *= r
-        series += coeff
+    series = _horner(1.0 / (w * w), _STIRLING[::-1])
     return (w - 0.5) * np.log(w) - w + 0.5 * math.log(2.0 * math.pi) + series / w - np.log(shift)
 
 

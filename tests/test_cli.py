@@ -4,6 +4,7 @@ import os
 import stat
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -64,6 +65,16 @@ class TestSeriesIO:
         np.testing.assert_array_equal(back, values)
         assert n is None
         assert open(path).readline() == '# stablevar v1 {"mode": "increments"}\n'
+
+    @pytest.mark.parametrize("rows", [1, 3, 10, 11])
+    def test_rows_formatted_in_chunks_give_the_same_bytes(self, tmp_path, monkeypatch, rows):
+        # one 'index,value' line per value, however many rows a chunk holds
+        path = tmp_path / "s.csv"
+        values = np.random.default_rng(1).standard_cauchy(10)
+        monkeypatch.setattr(cli, "WRITE_ROWS", rows)
+        write_series(str(path), values, {"n": 5})
+        assert path.read_text() == ('# stablevar v1 {"mode": "increments", "n": 5}\n'
+                                    + "".join(f"{i},{float(v)!r}\n" for i, v in enumerate(values)))
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -181,6 +192,34 @@ class TestSimulate:
         assert err.startswith("infeasible simulation:") and err.count("\n") == 1
         assert problem in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("big, problem", [
+        (["--fine-multiplier", "100000000"], "MAX_FINE_VALUES"),
+        (["--T", "1e12"], "MAX_FINE_VALUES"),
+        (["--m", "1", "--n", "1000000000"], "MAX_FINE_VALUES"),
+        (["--m", "2147483648"], "MAX_FINE_VALUES"),
+        # n*T cannot be formed as a float
+        (["--n", "1" + "0" * 400], "int too large to convert to float"),
+    ], ids=["fine-multiplier", "T", "n", "m", "n-beyond-float"])
+    def test_oversized_fine_grid_exits_4_before_drawing(self, tmp_path, capsys, monkeypatch,
+                                                        big, problem):
+        # refused from the flags alone: no stream token is made, nothing drawn
+        monkeypatch.setattr(cli, "RandomStream", lambda *a: pytest.fail("stream made"))
+        monkeypatch.setattr(cli, "simulate_sde_batch", lambda *a, **k: pytest.fail("drawn"))
+        out = tmp_path / "s.csv"
+        assert run(["simulate", *big, "--output", str(out)]) == 4
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith("infeasible simulation:") and err.count("\n") == 1
+        assert problem in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("T, code", [("1", 0), ("1.04", 0), ("1.05", 4)])
+    def test_fine_grid_bound_is_inclusive(self, tmp_path, monkeypatch, T, code):
+        # m floor(fine n T) = 5 floor(20 T): 100, 100 and 105 against a bound of 100
+        monkeypatch.setattr(cli, "MAX_FINE_VALUES", 100)
+        assert run(["simulate", "--m", "5", "--n", "10", "--fine-multiplier", "2", "--T", T,
+                    "--output", str(tmp_path / "s.csv")]) == code
 
     def test_negative_exponent_value_in_equals_form(self, tmp_path):
         # before Python 3.13, argparse reads "-1e-05" after a flag as another
@@ -337,6 +376,24 @@ class TestEstimate:
         ]) == 4
         assert "p window" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("p_min", ["5e-324", "1e-323", "1.1125369292536e-308"])
+    def test_p_min_whose_coupled_alpha_underflows_exits_4(self, small_series, tmp_path, capsys,
+                                                           p_min):
+        # alpha = p/2 is 0, or so small that Gamma(alpha) overflows in k(p):
+        # the message names the p window, not the coupled alpha
+        base = str(tmp_path / "e")
+        assert run(["estimate", "--input", small_series, "--output", base,
+                    "--p-min", p_min]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("estimation aborted: p window [") and err.count("\n") == 1
+        assert not any(tmp_path.glob("e.*"))
+
+    def test_smallest_p_min_accepted(self, small_series, tmp_path):
+        # 2/DBL_MAX: alpha = 1/DBL_MAX, where Gamma(alpha) is the largest float
+        assert run(["estimate", "--input", small_series, "--output", str(tmp_path / "e"),
+                    "--p-min", "1.112536929253602e-308"]) == 0
+
     @pytest.mark.parametrize("c_fixed", ["0", "-1", "inf", "nan", "1e300"])
     def test_non_positive_fixed_c_exits_4(self, tmp_path, capsys, c_fixed):
         inp = self.simulate_input(tmp_path, m=40)
@@ -485,6 +542,109 @@ class TestEstimateExtremeFlags:
             assert out.startswith("alpha* = ")
 
 
+SERIES_HEADERS = (None, '# stablevar v1 {"n": 5}', '# stablevar v1 {"mode": "increments"}',
+                  '# stablevar v1 {"mode": "levels", "n": 3}', "# stablevar v1 {")
+JUNK_LINES = (b"", b"# note", b"1,2,3", b"x", b"nan", b"-inf", b"1e400", b"0,", b",1",
+              b"\xef\xbb\xbf1", b"\xff")
+
+
+class TestEstimateSeriesFiles:
+    # deterministic: derandomized examples, so no false-failure rate; each
+    # file is rewritten, and each example takes under 0.1 s. A numpy warning
+    # would be a second stderr line
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(header=st.sampled_from(SERIES_HEADERS),
+           values=st.lists(st.floats(-1e3, 1e3) | st.sampled_from(EXTREMES[:6]), min_size=15,
+                           max_size=40),
+           junk=st.none() | st.tuples(st.integers(0, 40), st.sampled_from(JUNK_LINES)))
+    def test_exits_0_3_or_4_with_one_line(self, tmp_path, capsys, header, values, junk):
+        # finite values, down to 5e-324 and up to 1e308, in the header's
+        # mode, with at most one junk line, read with n = 1: a fit needs
+        # M_MIN = 20 increments
+        for old in tmp_path.glob("fit.*"):
+            old.unlink()
+        if header is not None and "increments" in header:
+            lines = [f"{i},{v!r}".encode() for i, v in enumerate(values)]
+        else:
+            lines = [repr(v).encode() for v in values]
+        if junk is not None:
+            lines.insert(*junk)
+        if header is not None:
+            lines.insert(0, header.encode())
+        data = tmp_path / "s.csv"
+        data.write_bytes(b"".join(ln + b"\n" for ln in lines))
+        code = run(["estimate", f"--input={data}", f"--output={tmp_path / 'fit'}", "--n=1",
+                    "--no-refine"])
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert err == "" and out.startswith("alpha* = ")
+        else:
+            assert code in (3, 4)
+            assert out == "" and err.count("\n") == 1
+            assert not any(tmp_path.glob("fit.*"))
+
+
+SIMULATE_INTS = ("--n", "--m", "--seed", "--fine-multiplier")
+SIMULATE_FLOATS = ("--alpha", "--scale", "--beta", "--T", "--x0")
+INT_EXTREMES = (-1, 0, 1, 2, 2**31, 10**12)
+FLOAT_EXTREMES = EXTREMES + (1e12,)
+
+
+class TestSimulateExtremeFlags:
+    # deterministic: derandomized, and hypothesis tries each of the 74
+    # (flag, value) pairs, so no false-failure rate; each example takes
+    # under 0.1 s. A numpy warning would be a second stderr line
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=st.one_of(
+        st.tuples(st.sampled_from(SIMULATE_INTS), st.sampled_from(INT_EXTREMES)),
+        st.tuples(st.sampled_from(SIMULATE_FLOATS), st.sampled_from(FLOAT_EXTREMES)),
+    ))
+    def test_exits_0_or_4_with_one_line(self, tmp_path, capsys, case):
+        # one numeric flag at an extreme, the others small
+        flag, value = case
+        data = tmp_path / "s.csv"
+        data.unlink(missing_ok=True)
+        start = time.perf_counter()
+        code = run(["simulate", "--m=5", "--n=10", "--fine-multiplier=2", f"{flag}={value!r}",
+                    f"--output={data}"])
+        assert time.perf_counter() - start < 5.0
+        out, err = capsys.readouterr()
+        if code == 4:
+            assert out == ""
+            assert err.startswith("infeasible simulation: ") and err.count("\n") == 1
+            assert not data.exists()
+        else:
+            assert code == 0 and err == ""
+            assert out.startswith("wrote ") and data.exists()
+
+
+class TestVerifyExtremeFlags:
+    # deterministic: derandomized, and hypothesis tries each of the 72
+    # (scenario, flag, value) triples, so no false-failure rate; each example
+    # takes under 0.1 s. A numpy warning would be a second stderr line
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(scenario=st.sampled_from(cli.SCENARIOS), flag=st.sampled_from(("--seed", "--m", "--n")),
+           value=st.sampled_from(INT_EXTREMES))
+    def test_exits_0_1_or_4_with_one_line(self, capsys, scenario, flag, value):
+        # one numeric flag at an extreme, the others small
+        start = time.perf_counter()
+        code = run(["verify", f"--scenario={scenario}", "--m=20", "--n=10", f"{flag}={value!r}"])
+        assert time.perf_counter() - start < 5.0
+        out, err = capsys.readouterr()
+        if code == 4:
+            assert out == ""
+            assert err.startswith("infeasible scenario size: ") and err.count("\n") == 1
+        else:
+            assert code in (0, 1) and err == ""
+            assert out.startswith(f"{scenario}: KS statistic ")
+
+
 class TestVerify:
     def test_unknown_scenario_exits_5(self):
         assert run(["verify", "--scenario", "no-such-thing"]) == 5
@@ -496,7 +656,21 @@ class TestVerify:
         assert run(["verify", "--scenario", "thm1-sub", "--n", "50", *size]) == 4
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("too few blocks:") and err.count("\n") == 1
+        assert err.startswith("infeasible scenario size:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("scenario, size", [
+        ("thm1-sub", ["--m", "1000000000000", "--n", "10"]),
+        ("cor-sde", ["--m", "1000000000000", "--n", "10"]),
+        ("thm1-sub", ["--m", "5", "--n", "100000000000000"]),
+    ], ids=["theorem-m", "cor-sde-m", "n"])
+    def test_oversized_size_exits_4_before_running(self, capsys, monkeypatch, scenario, size):
+        # refused from the sizes alone: the scenario never runs
+        monkeypatch.setattr(cli, "run_scenario", lambda *a, **k: pytest.fail("scenario ran"))
+        assert run(["verify", "--scenario", scenario, *size]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("infeasible scenario size:") and err.count("\n") == 1
+        assert "MAX_PATHS" in err
 
     def test_unknown_scenario_before_sizes(self):
         assert run(["verify", "--scenario", "no-such-thing", "--m", "0"]) == 5
@@ -504,7 +678,7 @@ class TestVerify:
     @pytest.mark.parametrize("error", [ValueError, KeyError])
     def test_error_inside_scenario_propagates(self, monkeypatch, error):
         # only the name and the sizes map to exit codes; an error raised
-        # while sampling is a failure, not "too few blocks"
+        # while sampling is a failure, not an infeasible size
         def broken(*args, **kwargs):
             raise error("raised while sampling")
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,8 +39,12 @@ class TestBlockSplit:
         assert block_split(np.zeros(282 * 282), 282).shape == (282, 282)
 
     def test_rejects_short_series(self):
-        with pytest.raises(ValueError):
-            block_split(np.zeros(150), 100)
+        # block_split only reshapes; estimate's M_MIN is the one block minimum
+        blocks = block_split(np.zeros(150), 100)
+        assert blocks.shape == (1, 100)
+        with pytest.raises(EstimationError, match="at least 20 blocks"):
+            estimate(blocks)
+        assert block_split(np.zeros(50), 100).shape == (0, 100)
 
     def test_increments_mode(self):
         inc = np.arange(12, dtype=float)
@@ -175,6 +180,28 @@ class TestKsSurface:
         with pytest.raises(ValueError):
             ks_surface(self.make_blocked(), [], [1.0])
 
+    # m = 500 blocks: a chunk holds KS_CHUNK_VALUES // 500 = 2,000 C points
+    def test_memory_does_not_grow_with_the_c_axis(self):
+        blocks = np.random.default_rng(7).standard_cauchy((500, 10))
+        peaks = []
+        for points in (2_000, 20_000):
+            c_grid = np.linspace(0.5, 20.0, points)
+            tracemalloc.start()
+            try:
+                ks_surface(blocks, c_grid, [1.5])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
+
+    def test_chunked_distances_equal_scalar_distances(self):
+        # 4,100 C points: two full chunks and a partial one
+        blocks = np.random.default_rng(8).standard_cauchy((500, 10))
+        c_grid = np.linspace(0.5, 20.0, 4_100)
+        d = ks_surface(blocks, c_grid, [1.5]).d_values[:, 0]
+        scalar = [estimator._coupled_distance(blocks, c, 1.5) for c in c_grid.tolist()]
+        np.testing.assert_array_equal(d, scalar)
+
 
 class TestCPrimeCoupled:
     @pytest.mark.parametrize("c, problem", [
@@ -229,6 +256,12 @@ class TestGridConfig:
         # alpha = p/2 reaches 2
         with pytest.raises(ValueError, match="p window"):
             GridConfig(p_max=p_max)
+
+    @pytest.mark.parametrize("p_min", [5e-324, 1e-323, 1.1125369292536e-308])
+    def test_rejects_p_window_whose_coupled_alpha_underflows(self, p_min):
+        # alpha = p/2 below 1/DBL_MAX, where Gamma(alpha) in k(p) overflows
+        with pytest.raises(ValueError, match=r"p window \[.*1/DBL_MAX"):
+            GridConfig(p_min=p_min)
 
     def test_p_grid_below_four_builds(self):
         assert GridConfig(p_max=3.95).p_grid()[-1] < 4.0

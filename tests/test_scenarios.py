@@ -402,6 +402,24 @@ class TestRunScenarioSizes:
             with pytest.raises(ValueError, match="m >= 5"):
                 run_scenario(name, m=m, n=n)
 
+    @pytest.mark.parametrize("m, n", [
+        (scenarios.MAX_PATHS + 1, 10), (10**12, 10), (5, scenarios.MAX_STEPS + 1), (5, 10**14),
+    ])
+    def test_oversized_sizes_rejected_before_drawing(self, monkeypatch, m, n):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a stream was drawn")
+
+        monkeypatch.setattr(scenarios, "levy_statistic_sample", no_draws)
+        monkeypatch.setattr(scenarios, "sde_statistic_pairs", no_draws)
+        for name in scenarios.SCENARIOS:
+            with pytest.raises(ValueError, match="at most MAX_PATHS"):
+                run_scenario(name, m=m, n=n)
+
+    @pytest.mark.parametrize("m, n", [(2000, 10**4), (203, 20003)])
+    def test_bounds_admit_benchmark_and_ci_sizes(self, m, n):
+        scenarios.check_sizes(m, n)
+        scenarios.check_sizes(scenarios.MAX_PATHS, scenarios.MAX_STEPS)
+
     def test_smallest_sizes_run(self):
         report = run_scenario("thm1-sub", m=5, n=1)
         assert report.threshold < 1.0
