@@ -16,9 +16,9 @@ import sys
 import numpy as np
 
 from stablevar.estimator import EstimationError, GridConfig, block_split, estimate, ks_surface
-from stablevar.path_sim import simulate_sde_batch
-from stablevar.stable_law import RandomStream, StableParams
-from stablevar.scenarios import SCENARIOS, check_sizes, run_scenario
+from stablevar.path_sim import sde_increments
+from stablevar.stable_law import StableParams
+from stablevar.scenarios import CHUNK_STEPS, SCENARIOS, check_sizes, run_scenario
 
 MAGIC = "# stablevar v1 "
 
@@ -127,11 +127,11 @@ so each Euler step x + 0.0 h + dL adds dL exactly, as the Levy path does."""
 
 MAX_FINE_VALUES = 50_000_000
 """Most fine-grid increments simulate draws, m floor(fine multiplier n T).
-levy_increments holds them in one float64 array, 400 MB here. While it
-draws, one stream's draws and two CMS scratch rows take three more arrays
-of that size at most (at m = 1); while euler steps, the observed increments
-take one more at most (at fine multiplier 1). So a run peaks under 1.6 GB,
-and _write_rows formats WRITE_ROWS rows at a time."""
+A run holds the m floor(n T) observed increments, this many at fine
+multiplier 1, a chunk buffer (8 MB) and one block's generators (0.84 MB);
+writing adds an int64 index column. Per observed increment the traced peak
+was 16.4-16.8 bytes and max RSS grew by 18.6, at fine multipliers 1 and 16
+(m = 100-200, n = 2 x 10^4), so a run peaks under 1 GB."""
 
 
 def cmd_simulate(args) -> int:
@@ -139,30 +139,30 @@ def cmd_simulate(args) -> int:
         params = StableParams(args.alpha, args.scale, args.beta)
         sizes = (f"m={args.m}, n={args.n}, fine multiplier={args.fine_multiplier}, "
                  f"T={args.T!r}")
-        if min(args.m, args.n, args.fine_multiplier) < 1 or not 1.0 <= args.n * args.T < math.inf:
-            raise ValueError("--m, --n and --fine-multiplier must be >= 1 and n*T finite and "
-                             f">= 1, got {sizes}")
+        # n <= fine multiplier n, so n * T, int times float, cannot overflow
+        if (min(args.m, args.n, args.fine_multiplier) < 1
+                or args.fine_multiplier * args.n > sys.float_info.max
+                or not 1.0 <= args.n * args.T < math.inf):
+            raise ValueError("--m, --n and --fine-multiplier must be >= 1, --fine-multiplier "
+                             f"times --n a float and --n times --T finite and >= 1, got {sizes}")
         # m floor(x) <= MAX exactly when x < MAX // m + 1; an x that overflows
-        # to inf fails too, and no list of m streams is built before this
+        # to inf fails too, and nothing is drawn before this
         if not args.fine_multiplier * args.n * args.T < MAX_FINE_VALUES // args.m + 1:
             raise ValueError("--m, --n, --fine-multiplier and --T ask for m*floor(fine "
                              f"multiplier*n*T) fine-grid increments, more than "
                              f"MAX_FINE_VALUES = {MAX_FINE_VALUES}, got {sizes}")
         if not math.isfinite(args.x0):
             raise ValueError(f"--x0 must be finite, got {args.x0!r}")
-        streams = [RandomStream(args.seed, i) for i in range(args.m)]
         # a path that overflows is reported below, not warned about
         with np.errstate(all="ignore"):
-            increments = simulate_sde_batch(
-                args.x0, DRIFTS[args.drift], params,
-                n_fine=args.fine_multiplier * args.n, n_obs=args.n, T=args.T,
-                streams=streams,
+            increments = sde_increments(
+                params, DRIFTS[args.drift], args.n, args.m, args.seed, CHUNK_STEPS,
+                fine=args.fine_multiplier, T=args.T, x0=args.x0,
             )
         bad = np.count_nonzero(~np.isfinite(increments))
         if bad:
             raise ValueError(f"{bad} of {increments.size} simulated increments are not finite")
-    except (ValueError, OverflowError) as exc:
-        # OverflowError: an int flag beyond the float range in n*T
+    except ValueError as exc:
         print(f"infeasible simulation: {exc}", file=sys.stderr)
         return EXIT_GRID
     config = {

@@ -22,11 +22,14 @@ class EstimationError(RuntimeError):
 def block_split(increments, n: int, demean: bool = False) -> np.ndarray:
     """Group increments into m = floor(len/n) blocks of n, returned as an
     (m, n) array; the trailing remainder is dropped, and a series shorter
-    than n gives m = 0 (estimate refuses fewer than M_MIN blocks). demean
+    than n gives m = 0 (estimate refuses fewer than M_MIN blocks), unless n
+    exceeds numpy's largest dimension, which raises ValueError. demean
     subtracts each block's mean increment (off by default)."""
     increments = np.asarray(increments, dtype=float)
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n > np.iinfo(np.intp).max:
+        raise ValueError(f"block size n={n} is longer than the series ({len(increments)} increments)")
     m = len(increments) // n
     blocks = increments[: m * n].reshape(m, n).copy()
     if demean:

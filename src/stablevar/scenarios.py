@@ -6,15 +6,13 @@ from __future__ import annotations
 
 import functools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
 
 from stablevar.limit_law import sample_limit
-from stablevar.path_sim import euler, levy_increment_draws
+from stablevar.path_sim import walk_chunks
 from stablevar.pvariation import compensator, terminal_pvariation
 from stablevar.stable_law import RandomStream, StableParams
 
@@ -37,44 +35,11 @@ def ks_threshold(m: int) -> float:
 
 
 CHUNK_STEPS = 1000
-"""Time steps that sde_statistic_pairs draws and Euler-steps at once, for
-all streams of a block. It is fixed, so the row sums, which are added chunk
-by chunk, do not depend on m or on the thread count. At m = 2000, n = 10^4
-chunks of 500 steps made cor-sde 20-25% slower, with twice the per-stream
-generator calls, and chunks of 2000 steps (blocks of 500 streams) about 15%
+"""Steps that sde_statistic_pairs, and simulate in whole observation steps,
+draw and Euler-step at once for a block of streams. It is fixed, so the row
+sums, added chunk by chunk, do not depend on m or the thread count. At
+m = 2000, n = 10^4 chunks of 500 or 2000 steps made cor-sde 20-25% and 15%
 slower (2-vCPU x86-64)."""
-
-CHUNK_VALUES = 1000 * 1000
-"""Increments in the one chunk buffer (8 MB) that a statistic call walks,
-shared by all threads, whatever their number. A chunk is min(n, CHUNK_STEPS)
-steps wide in sde_statistic_pairs and n steps wide in levy_statistic_sample;
-a block is max(1, CHUNK_VALUES // width) streams."""
-
-TASK_VALUES = 64 * 1000
-"""Increments that one pool task draws into the chunk buffer and sums
-|x|^p over: max(1, TASK_VALUES // width) streams of a chunk, with CMS and
-|x|^p scratch arrays of its own (512 kB each)."""
-
-
-def _workers() -> int:
-    """Usable cores: the CPU affinity of this process where the platform
-    reports it, else the CPU count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _map_rows(pool: ThreadPoolExecutor, m: int, rows: int, fill) -> None:
-    """Call fill(lo, hi) on the pool for consecutive runs of up to `rows` of
-    m rows. Each fill writes its own disjoint slice of the caller's outputs,
-    and every stream is a pure function of its index, so the result does not
-    depend on the partition or the thread count. The first exception raised
-    in a run reaches the caller, and pool.map cancels the runs not yet
-    started."""
-    los = range(0, m, rows)
-    for _ in pool.map(fill, los, [min(lo + rows, m) for lo in los]):
-        pass
 
 
 def _check_stream_sizes(n: int, m: int) -> None:
@@ -84,38 +49,6 @@ def _check_stream_sizes(n: int, m: int) -> None:
         raise ValueError(f"n must be >= 1, got n={n}")
     if m < 0:
         raise ValueError(f"m must be >= 0, got m={m}")
-
-
-def _walk_chunks(params, n, m, seed, width, draw_sums, drift=None, euler_sums=None) -> None:
-    """Draw streams 0 .. m - 1 of n grid increments, in blocks of streams and
-    column chunks of `width` steps, through one chunk buffer. For each chunk,
-    pool tasks fill their rows from StableDraws and call draw_sums(rows, lo,
-    hi) with the rows of streams lo .. hi - 1. Given a drift, one euler call
-    on this thread then steps the block through the chunk from X_0 = 0,
-    writing the Euler increments over the drawn ones, and pool tasks call
-    euler_sums(rows, lo, hi) with them."""
-    rows = max(1, min(m, CHUNK_VALUES // width))
-    task_rows = max(1, TASK_VALUES // width)
-    buf = np.empty(rows * width)
-    with ThreadPoolExecutor(max_workers=_workers()) as pool:
-        for lo in range(0, m, rows):
-            block = min(rows, m - lo)
-            draws = levy_increment_draws(params, n, [RandomStream(seed, lo + i) for i in range(block)])
-            x = np.zeros(block)
-            for k in range(0, n, width):
-                chunk = buf[:block * min(width, n - k)].reshape(block, -1)
-
-                def draw(a, b):
-                    draws.fill(chunk[a:b], a)
-                    draw_sums(chunk[a:b], lo + a, lo + b)
-
-                def euler_sum(a, b):
-                    euler_sums(chunk[a:b], lo + a, lo + b)
-
-                _map_rows(pool, block, task_rows, draw)
-                if drift is not None:
-                    euler(x, drift, chunk, n, n, out=chunk)
-                    _map_rows(pool, block, task_rows, euler_sum)
 
 
 def levy_statistic_sample(
@@ -148,7 +81,7 @@ def levy_statistic_sample(
         for k, p in enumerate(shifted_ps, len(ps)):
             out[k, lo:hi] = terminal_pvariation(dL, p)
 
-    _walk_chunks(params, n, m, seed, n, sums)
+    walk_chunks(params, n, m, seed, n, sums)
     return out
 
 
@@ -192,15 +125,12 @@ def sde_statistic_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-stream pairs (V_p^n(X)_1, V_p^n(L)_1) where L is the stable Levy
     path on the grid of spacing 1/n and X the Euler solution from X_0 = 0
-    with the drift f(x) given as a vectorized function, driven by the same
-    grid increments.
+    with the vectorized drift f(x), driven by the same grid increments.
 
-    The streams are walked in chunks of CHUNK_STEPS steps (_walk_chunks):
-    pool tasks add each row's sum of |dL|^p over a chunk to its total, one
-    euler call steps the block through the chunk, and pool tasks add the
-    rows' sums of |dX|^p. A row's sums over n > CHUNK_STEPS steps are thus
-    sums of chunk sums, which differ from one pairwise sum over the row only
-    in the last bits."""
+    walk_chunks walks the streams in chunks of CHUNK_STEPS steps and adds
+    each row's sums of |dL|^p and |dX|^p over a chunk to its totals. Over
+    n > CHUNK_STEPS steps these sums of chunk sums differ from one pairwise
+    sum over the row only in the last bits."""
     _check_stream_sizes(n, m)
     v_sde = np.zeros(m)
     v_levy = np.zeros(m)
@@ -211,7 +141,7 @@ def sde_statistic_pairs(
     def add_sde_sums(dX, lo, hi):
         v_sde[lo:hi] += terminal_pvariation(dX, p)
 
-    _walk_chunks(params, n, m, seed, min(n, CHUNK_STEPS), add_levy_sums, drift, add_sde_sums)
+    walk_chunks(params, n, m, seed, min(n, CHUNK_STEPS), add_levy_sums, drift, add_sde_sums)
     return v_sde, v_levy
 
 
@@ -232,15 +162,16 @@ is at least 1.075, above any KS statistic, so the scenario could not fail."""
 
 
 MAX_PATHS = 2_000_000
-"""The most paths a scenario runs. A run holds O(m) arrays, about 300 bytes
-a path (0.6 GB here): the statistic rows or pairs, the reference draws and
-the KS test's sorted and searched copies. Beside them it holds the
-generators of one block of min(m, CHUNK_VALUES // min(n, CHUNK_STEPS))
-streams, about 0.84 kB a stream, so 0.84 GB at n = 1. At n = 10, peak
-memory grew by 275 bytes a path from m = 10^5 to 4 x 10^5."""
+"""The most paths a scenario runs. A run holds O(m) arrays: the statistic
+rows or pairs, the reference draws and the KS test's sorted and searched
+copies. Beside them it holds one chunk buffer, 8 MB at most, and the
+generators of one block of at most path_sim.BLOCK_STREAMS streams, about
+0.84 MB. At n = 1, max RSS grew by 110 bytes a path for cor-sde and 125 for
+thm1-sub from m = 10^5 to 3 x 10^5 (800 before blocks were capped), so a
+run at this bound holds about 0.25 GB."""
 
 MAX_STEPS = 25_000_000
-"""The most steps per path, about 1.4 GB here. At n > CHUNK_VALUES the
+"""The most steps per path, about 1.4 GB here. At n > path_sim.CHUNK_VALUES the
 Theorem walk holds one row of n increments, with its CMS and |x|^p scratch,
 n values each. The perturbation Y = sin is sampled on the n + 1 grid points
 as a Python list (about 32 bytes a point), which then becomes arrays. At

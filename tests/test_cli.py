@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from stablevar import cli
+from stablevar import cli, path_sim
 from stablevar.cli import CSVParseError, main, read_series, write_series
 from stablevar.estimator import block_split
 
@@ -199,13 +199,14 @@ class TestSimulate:
         (["--m", "1", "--n", "1000000000"], "MAX_FINE_VALUES"),
         (["--m", "2147483648"], "MAX_FINE_VALUES"),
         # n*T cannot be formed as a float
-        (["--n", "1" + "0" * 400], "int too large to convert to float"),
-    ], ids=["fine-multiplier", "T", "n", "m", "n-beyond-float"])
+        (["--n", "1" + "0" * 400], "--n times --T finite"),
+        (["--fine-multiplier", "1" + "0" * 400], "--fine-multiplier times --n a float"),
+    ], ids=["fine-multiplier", "T", "n", "m", "n-beyond-float", "fine-multiplier-beyond-float"])
     def test_oversized_fine_grid_exits_4_before_drawing(self, tmp_path, capsys, monkeypatch,
                                                         big, problem):
         # refused from the flags alone: no stream token is made, nothing drawn
-        monkeypatch.setattr(cli, "RandomStream", lambda *a: pytest.fail("stream made"))
-        monkeypatch.setattr(cli, "simulate_sde_batch", lambda *a, **k: pytest.fail("drawn"))
+        monkeypatch.setattr(path_sim, "RandomStream", lambda *a: pytest.fail("stream made"))
+        monkeypatch.setattr(cli, "sde_increments", lambda *a, **k: pytest.fail("drawn"))
         out = tmp_path / "s.csv"
         assert run(["simulate", *big, "--output", str(out)]) == 4
         stdout, err = capsys.readouterr()
@@ -453,6 +454,20 @@ class TestEstimate:
         assert run([
             "estimate", "--input", inp, "--output", str(tmp_path / "e"),
         ]) == 4
+
+    @pytest.mark.parametrize("where", ["flag", "header"])
+    def test_block_size_beyond_numpy_exits_4(self, tmp_path, capsys, where):
+        # no (0, n) array exists for n >= 2^63, so the refusal names the
+        # block size and the series length instead of numpy's dimension limit
+        n, inp = 2**63, tmp_path / "s.csv"
+        header = {"mode": "increments", **({"n": n} if where == "header" else {})}
+        write_series(str(inp), np.linspace(-1.0, 1.0, 150), header)
+        flag = ["--n", str(n)] if where == "flag" else []
+        assert run(["estimate", "--input", str(inp), "--output", str(tmp_path / "e"), *flag]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err == (f"estimation aborted: block size n={n} is longer than the series "
+                       "(150 increments)\n")
 
     def test_unwritable_output_exits_2(self, tmp_path):
         inp = self.simulate_input(tmp_path, m=40)

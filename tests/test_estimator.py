@@ -22,8 +22,9 @@ from stablevar.estimator import (
     ks_surface,
 )
 from stablevar.limit_law import limit_scale, ref_cdf_half_stable
-from stablevar.path_sim import simulate_levy, simulate_sde_batch
+from stablevar.path_sim import sde_increments, simulate_levy
 from stablevar.pvariation import terminal_pvariation
+from stablevar.scenarios import CHUNK_STEPS
 from stablevar.stable_law import RandomStream, StableParams, sample_stable
 
 
@@ -566,9 +567,7 @@ class TestCalibration:
         params, n = StableParams(alpha, 2.0, beta), 200
         fits = []
         for seed in range(5):
-            streams = [RandomStream(seed, i) for i in range(200)]
-            blocks = simulate_sde_batch(0.0, np.cos, params, n_fine=16 * n,
-                                        n_obs=n, T=1.0, streams=streams)
+            blocks = sde_increments(params, np.cos, n, 200, seed, CHUNK_STEPS, fine=16)
             fits.append(estimate(blocks).alpha_star)
         hits = sum(abs(a - alpha) <= 0.15 for a in fits)
         assert hits >= min_hits, fits

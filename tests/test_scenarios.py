@@ -1,7 +1,7 @@
-"""The scenario statistics run their stream blocks on a thread pool. These
-tests are deterministic (fixed seeds, exact comparisons or comparisons
-within a fixed rounding tolerance), so they have no false-failure rate;
-TestScenarioPower states its own."""
+"""The scenario statistics and simulate's paths run their stream blocks on a
+thread pool (path_sim.walk_chunks). These tests are deterministic (fixed
+seeds, exact comparisons or comparisons within a fixed rounding tolerance),
+so they have no false-failure rate; TestScenarioPower states its own."""
 
 import dataclasses
 import itertools
@@ -13,9 +13,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from stablevar import scenarios
+from stablevar import path_sim, scenarios
 from stablevar.limit_law import limit_scale, sample_limit
-from stablevar.path_sim import euler, levy_increments
+from stablevar.path_sim import euler
 from stablevar.pvariation import compensator, terminal_pvariation
 from stablevar.scenarios import (
     ks_threshold,
@@ -39,6 +39,8 @@ CASES = {
         P15, 60, M, 3, (1.0,)) - 60 * compensator(P15, 1.0, 60),
     "sde": lambda: sde_statistic_pairs(P075, COS, 1.5, 60, M, seed=4),
     "theorem-sample": lambda: np.array(list(fresh_theorem_sample(3, M, 60).values())),
+    "simulate": lambda: path_sim.sde_increments(P075, COS, 20, M, 3, scenarios.CHUNK_STEPS,
+                                                fine=3, x0=0.5),
 }
 N = 60  # every case draws 60 increments per stream
 
@@ -77,17 +79,17 @@ class TestBlockPartition:
         expected = CASES[name]()
         # five rows' worth: blocks of 5, 5 and 3 streams, drawn by pool tasks
         # of 2 streams run 1-3 at a time
-        monkeypatch.setattr(scenarios, "CHUNK_VALUES", 5 * N)
-        monkeypatch.setattr(scenarios, "TASK_VALUES", 2 * N)
-        monkeypatch.setattr(scenarios, "_workers", lambda: workers)
+        monkeypatch.setattr(path_sim, "CHUNK_VALUES", 5 * N)
+        monkeypatch.setattr(path_sim, "TASK_VALUES", 2 * N)
+        monkeypatch.setattr(path_sim, "_workers", lambda: workers)
         got = CASES[name]()
         for e, g in zip(np.atleast_2d(expected), np.atleast_2d(got)):
             np.testing.assert_array_equal(g, e)
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_block_exception_reaches_caller(self, monkeypatch, workers):
-        monkeypatch.setattr(scenarios, "CHUNK_VALUES", 2 * N)
-        monkeypatch.setattr(scenarios, "_workers", lambda: workers)
+        monkeypatch.setattr(path_sim, "CHUNK_VALUES", 2 * N)
+        monkeypatch.setattr(path_sim, "_workers", lambda: workers)
         with pytest.raises(ValueError, match="p must be positive"):
             levy_statistic_sample(P15, 60, M, 3, (0.0,))
         with pytest.raises(ValueError, match="p must be positive"):
@@ -105,17 +107,17 @@ class TestBlockMemory:
         # depend on the number of workers
         n = 15 * multiple
         calls = []
-        draw = scenarios.levy_increment_draws
+        draw = path_sim.levy_increment_draws
 
         def spy(params, n, streams, *args, **kwargs):
             calls.append((n, [s.stream_index for s in streams]))
             return draw(params, n, streams, *args, **kwargs)
 
-        monkeypatch.setattr(scenarios, "levy_increment_draws", spy)
-        monkeypatch.setattr(scenarios, "_workers", lambda: workers)
+        monkeypatch.setattr(path_sim, "levy_increment_draws", spy)
+        monkeypatch.setattr(path_sim, "_workers", lambda: workers)
         # a stream wider than the buffer is a block of its own
         for held in (rows_worth * n, n - 1):
-            monkeypatch.setattr(scenarios, "CHUNK_VALUES", held)
+            monkeypatch.setattr(path_sim, "CHUNK_VALUES", held)
             for statistic in (
                 lambda: sde_statistic_pairs(P075, COS, 1.5, n, M, seed=4),
                 lambda: levy_statistic_sample(P15, n, M, 3, (1.0,)),
@@ -127,6 +129,28 @@ class TestBlockMemory:
                 for n_drawn, idx in calls:
                     assert n_drawn == n
                     assert len(idx) <= max(1, held // n)
+
+
+    def test_blocks_hold_at_most_block_streams(self, monkeypatch):
+        # at n = 1 the chunk buffer has room for CHUNK_VALUES = 10^6 streams;
+        # a block makes the generators of at most BLOCK_STREAMS of them
+        m, cap = 2 * path_sim.BLOCK_STREAMS + 1, path_sim.BLOCK_STREAMS
+        blocks = []
+        draw = path_sim.levy_increment_draws
+
+        def spy(params, n, streams, *args, **kwargs):
+            blocks.append(len(streams))
+            return draw(params, n, streams, *args, **kwargs)
+
+        monkeypatch.setattr(path_sim, "levy_increment_draws", spy)
+        for statistic in (
+            lambda: sde_statistic_pairs(P075, COS, 1.5, 1, m, seed=4),
+            lambda: levy_statistic_sample(P15, 1, m, 3, (1.0,)),
+            lambda: path_sim.sde_increments(P075, COS, 1, m, 4, scenarios.CHUNK_STEPS),
+        ):
+            blocks.clear()
+            statistic()
+            assert blocks == [cap, cap, 1]
 
 
 class TestTheoremSample:
@@ -167,13 +191,13 @@ class TestTheoremSample:
 
     def test_three_scenarios_draw_each_stream_once(self, monkeypatch):
         drawn = []
-        draw = scenarios.levy_increment_draws
+        draw = path_sim.levy_increment_draws
 
         def spy(params, n, streams, *args, **kwargs):
             drawn.extend(s.stream_index for s in streams)
             return draw(params, n, streams, *args, **kwargs)
 
-        monkeypatch.setattr(scenarios, "levy_increment_draws", spy)
+        monkeypatch.setattr(path_sim, "levy_increment_draws", spy)
         for name in ("thm1-sub", "thm1-comp", "thm3-lipschitz"):
             run_scenario(name, seed=3, m=M, n=N)
         # the shared sample's streams 0 .. M - 1, and nothing else
@@ -256,9 +280,9 @@ class TestBlockPeak:
         # scratch; here a task draws one stream. cor-sde's chunk buffer holds
         # CHUNK_STEPS steps per stream (TestSdePeak).
         m, n = 40, 2000
-        monkeypatch.setattr(scenarios, "CHUNK_VALUES", m * n)
-        monkeypatch.setattr(scenarios, "TASK_VALUES", n)
-        monkeypatch.setattr(scenarios, "_workers", lambda: 1)
+        monkeypatch.setattr(path_sim, "CHUNK_VALUES", m * n)
+        monkeypatch.setattr(path_sim, "TASK_VALUES", n)
+        monkeypatch.setattr(path_sim, "_workers", lambda: 1)
         tracemalloc.start()
         try:
             statistic(m, n)
@@ -275,9 +299,9 @@ class TestBlockPeak:
         # the perturbation's increments dY, the block's generators and the
         # pool's futures.
         m, n = 60, 4000
-        monkeypatch.setattr(scenarios, "CHUNK_VALUES", 20 * n)
-        monkeypatch.setattr(scenarios, "TASK_VALUES", 2 * n)
-        monkeypatch.setattr(scenarios, "_workers", lambda: workers)
+        monkeypatch.setattr(path_sim, "CHUNK_VALUES", 20 * n)
+        monkeypatch.setattr(path_sim, "TASK_VALUES", 2 * n)
+        monkeypatch.setattr(path_sim, "_workers", lambda: workers)
         tracemalloc.start()
         try:
             scenarios._theorem_sample(3, m, n)
@@ -310,7 +334,7 @@ def record_chunks(monkeypatch, m, n):
     """Run sde_statistic_pairs with draws, Euler and sums stubbed out; return
     the pool size and the (rows, steps) of each euler call."""
     pools, chunks = [], []
-    pool = scenarios.ThreadPoolExecutor
+    pool = path_sim.ThreadPoolExecutor
 
     class NoDraws:
         def fill(self, out, lo=0):
@@ -320,9 +344,9 @@ def record_chunks(monkeypatch, m, n):
         pools.append(max_workers)
         return pool(max_workers=max_workers)
 
-    monkeypatch.setattr(scenarios, "ThreadPoolExecutor", spy)
-    monkeypatch.setattr(scenarios, "levy_increment_draws", lambda *args: NoDraws())
-    monkeypatch.setattr(scenarios, "euler", lambda x, drift, dL, *args, **kwargs: chunks.append(dL.shape))
+    monkeypatch.setattr(path_sim, "ThreadPoolExecutor", spy)
+    monkeypatch.setattr(path_sim, "levy_increment_draws", lambda *args: NoDraws())
+    monkeypatch.setattr(path_sim, "euler", lambda x, drift, dL, *args, **kwargs: chunks.append(dL.shape))
     monkeypatch.setattr(scenarios, "terminal_pvariation", lambda dL, p: np.zeros(len(dL)))
     sde_statistic_pairs(P075, COS, 1.5, n, m, seed=4)
     (threads,) = pools
@@ -339,8 +363,8 @@ class TestBlockFloor:
     def test_blocks_keep_min_rows(self, monkeypatch, rows_worth, workers):
         width = scenarios.CHUNK_STEPS
         m, n = 40, 2 * width + 3
-        monkeypatch.setattr(scenarios, "CHUNK_VALUES", rows_worth * width)
-        monkeypatch.setattr(scenarios, "_workers", lambda: workers)
+        monkeypatch.setattr(path_sim, "CHUNK_VALUES", rows_worth * width)
+        monkeypatch.setattr(path_sim, "_workers", lambda: workers)
         threads, chunks = record_chunks(monkeypatch, m, n)
         assert threads == workers
         rows = [min(rows_worth, m - lo) for lo in range(0, m, rows_worth)]
@@ -351,11 +375,11 @@ class TestBlockFloor:
     def test_verify_sizes_on_many_cores(self, monkeypatch, workers):
         # the verify scenarios draw 2000 streams of 10^4 steps: two blocks of
         # 1000 streams, each stepped in 10 chunks of 1000 steps
-        monkeypatch.setattr(scenarios, "_workers", lambda: workers)
+        monkeypatch.setattr(path_sim, "_workers", lambda: workers)
         threads, chunks = record_chunks(monkeypatch, 2000, 10_000)
         assert threads == workers
         assert chunks == [(1000, 1000)] * 20
-        assert 1000 * scenarios.CHUNK_STEPS <= scenarios.CHUNK_VALUES
+        assert 1000 * scenarios.CHUNK_STEPS <= path_sim.CHUNK_VALUES
 
 
 class TestSdeStreams:
@@ -370,9 +394,9 @@ class TestSdeStreams:
             np.testing.assert_array_equal(
                 sde_statistic_pairs(P075, COS, 1.5, n, m, seed=4), expected[:, :m])
         for workers, rows_worth, task_rows in ((1, 13, 64), (3, 5, 2), (2, 1, 1), (4, 4, 3)):
-            monkeypatch.setattr(scenarios, "_workers", lambda: workers)
-            monkeypatch.setattr(scenarios, "CHUNK_VALUES", rows_worth * scenarios.CHUNK_STEPS)
-            monkeypatch.setattr(scenarios, "TASK_VALUES", task_rows * scenarios.CHUNK_STEPS)
+            monkeypatch.setattr(path_sim, "_workers", lambda: workers)
+            monkeypatch.setattr(path_sim, "CHUNK_VALUES", rows_worth * scenarios.CHUNK_STEPS)
+            monkeypatch.setattr(path_sim, "TASK_VALUES", task_rows * scenarios.CHUNK_STEPS)
             np.testing.assert_array_equal(
                 sde_statistic_pairs(P075, COS, 1.5, n, M, seed=4), expected)
 
@@ -382,7 +406,9 @@ class TestSdeStreams:
         # rounding: 1e-13 relative bounds the error of adding at most a few
         # dozen non-negative partial sums. At n <= CHUNK_STEPS they are equal.
         v_sde, v_levy = sde_statistic_pairs(P075, COS, 1.5, n, M, seed=4)
-        dL = levy_increments(P075, n, [RandomStream(4, i) for i in range(M)])
+        # each row one sample_stable draw of the grid-increment law
+        step = dataclasses.replace(P075, scale_C=P075.scale_C * n ** (-1.0 / P075.alpha))
+        dL = np.array([sample_stable(step, RandomStream(4, i), n) for i in range(M)])
         np.testing.assert_allclose(v_levy, terminal_pvariation(dL, 1.5), rtol=1e-13, atol=0)
         np.testing.assert_allclose(
             v_sde, terminal_pvariation(euler(0.0, COS, dL, n, n), 1.5), rtol=1e-13, atol=0)
@@ -397,7 +423,7 @@ class TestRunScenarioSizes:
         def no_blocks(*args):
             raise AssertionError("a block was drawn")
 
-        monkeypatch.setattr(scenarios, "_map_rows", no_blocks)
+        monkeypatch.setattr(path_sim, "_map_rows", no_blocks)
         for name in scenarios.SCENARIOS:
             with pytest.raises(ValueError, match="m >= 5"):
                 run_scenario(name, m=m, n=n)
@@ -434,8 +460,8 @@ class TestStatisticSizes:
         def no_draws(*args, **kwargs):
             raise AssertionError("a stream was drawn")
 
-        monkeypatch.setattr(scenarios, "levy_increment_draws", no_draws)
-        monkeypatch.setattr(scenarios, "_map_rows", no_draws)
+        monkeypatch.setattr(path_sim, "levy_increment_draws", no_draws)
+        monkeypatch.setattr(path_sim, "_map_rows", no_draws)
         with pytest.raises(ValueError, match=match):
             levy_statistic_sample(P15, n, m, 3, (), (1.0,), math.sin)
         with pytest.raises(ValueError, match=match):
