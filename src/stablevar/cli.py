@@ -9,6 +9,7 @@ read_series alone reads the format and returns increments.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
@@ -43,12 +44,13 @@ series, against 5.3 MB when the whole file was formatted at once."""
 
 def _write_rows(path, header, columns):
     """Write a CSV of the header line, then one line per row of the equal
-    length 1-D arrays in columns, each value as its shortest repr, formatted
-    WRITE_ROWS rows at a time."""
+    length columns, 1-D arrays or ranges, each value as its shortest repr,
+    formatted WRITE_ROWS rows at a time."""
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for lo in range(0, len(columns[0]), WRITE_ROWS):
-            text = [map(repr, col[lo:lo + WRITE_ROWS].tolist()) for col in columns]
+            rows = [col[lo:lo + WRITE_ROWS] for col in columns]
+            text = [map(repr, r if isinstance(r, range) else r.tolist()) for r in rows]
             fh.write("\n".join(map(",".join, zip(*text))) + "\n")
 
 
@@ -57,7 +59,37 @@ def write_series(path: str, values: np.ndarray, config: dict) -> None:
     holding config with its "mode" set to "increments"."""
     values = np.asarray(values, dtype=float)
     header = MAGIC + json.dumps({**config, "mode": "increments"}, sort_keys=True)
-    _write_rows(path, header, [np.arange(len(values)), values])
+    _write_rows(path, header, [range(len(values)), values])
+
+
+INCREMENT_BYTES = b"0123456789+-.e,\n"
+"""The bytes of the increment lines write_series writes: read_series hands a
+file body of these bytes alone to np.loadtxt. Over this alphabet loadtxt
+takes a row exactly when the line reader does, to the same values; outside
+it the two part ways, as loadtxt strips \\x0b, \\x0c, \\x1c-\\x1e, \\x85 and
+\\xa0 around a field, which the line reader takes as line breaks or bytes
+that are not UTF-8."""
+
+
+def _header(line: str) -> tuple[str, int | None]:
+    """(mode, n) of a file whose first line is line: its header's, or
+    ("levels", None) when line is no header. Raises CSVParseError on line 1
+    for a header that is not a JSON object, or whose mode or n is invalid."""
+    config: dict = {}
+    if line.startswith(MAGIC):
+        try:
+            config = json.loads(line[len(MAGIC):])
+        except json.JSONDecodeError as exc:
+            raise CSVParseError(1, f"bad header JSON: {exc}") from exc
+        if not isinstance(config, dict):
+            raise CSVParseError(1, "header JSON is not an object")
+    mode = config.get("mode", "levels")
+    if mode not in ("levels", "increments"):
+        raise CSVParseError(1, f'header mode {json.dumps(mode)} is not "levels" or "increments"')
+    n = config.get("n")
+    if "n" in config and (type(n) is not int or n < 1):
+        raise CSVParseError(1, f"header n {json.dumps(n)} is not an integer >= 1")
+    return mode, n
 
 
 def read_series(path: str) -> tuple[np.ndarray, int | None]:
@@ -65,8 +97,36 @@ def read_series(path: str) -> tuple[np.ndarray, int | None]:
     Levels (header mode "levels", or no mode) are differenced here as
     np.diff(values, prepend=values[0]), so the first increment is zero; a
     level whose difference from the one before overflows is a parse error
-    on its line."""
-    config: dict = {}
+    on its line.
+
+    An increments file whose body holds only INCREMENT_BYTES is read by one
+    np.loadtxt call; a file that call refuses, or that holds a value that is
+    not finite, and every other file, go through _read_lines, which names
+    the bad line."""
+    with open(path, "rb") as fh:
+        first, body = fh.readline(), fh.read()
+    try:
+        # the header must be the line reader's whole first line
+        (line,) = first.decode("utf-8").splitlines()
+        mode, n = _header(line)
+    except (ValueError, CSVParseError):  # UnicodeDecodeError is a ValueError
+        mode = None
+    # a body of blank lines holds no row, and loadtxt would warn
+    if (mode == "increments" and body.count(b"\n") < len(body)
+            and not body.translate(None, INCREMENT_BYTES)):
+        try:
+            rows = np.loadtxt(io.BytesIO(body), delimiter=",", comments=None,
+                              dtype=[("i", "i8"), ("v", "f8")], ndmin=1)
+        except ValueError:
+            pass
+        else:
+            if np.all(np.isfinite(rows["v"])):
+                return rows["v"], n
+    return _read_lines(path)
+
+
+def _read_lines(path: str) -> tuple[np.ndarray, int | None]:
+    """read_series, one line at a time: the source of every CSVParseError."""
     values = []
     with open(path, "rb") as fh:
         data = fh.read()
@@ -74,21 +134,8 @@ def read_series(path: str) -> tuple[np.ndarray, int | None]:
         raw = data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise CSVParseError(data.count(b"\n", 0, exc.start) + 1, f"not UTF-8 text: {exc}") from exc
-    start = 0
-    if raw and raw[0].startswith(MAGIC):
-        try:
-            config = json.loads(raw[0][len(MAGIC):])
-        except json.JSONDecodeError as exc:
-            raise CSVParseError(1, f"bad header JSON: {exc}") from exc
-        if not isinstance(config, dict):
-            raise CSVParseError(1, "header JSON is not an object")
-        start = 1
-    mode = config.get("mode", "levels")
-    if mode not in ("levels", "increments"):
-        raise CSVParseError(1, f'header mode {json.dumps(mode)} is not "levels" or "increments"')
-    n = config.get("n")
-    if "n" in config and (type(n) is not int or n < 1):
-        raise CSVParseError(1, f"header n {json.dumps(n)} is not an integer >= 1")
+    mode, n = _header(raw[0] if raw else "")
+    start = 1 if raw and raw[0].startswith(MAGIC) else 0
     for k, line in enumerate(raw[start:], start=start + 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -129,9 +176,9 @@ MAX_FINE_VALUES = 50_000_000
 """Most fine-grid increments simulate draws, m floor(fine multiplier n T).
 A run holds the m floor(n T) observed increments, this many at fine
 multiplier 1, a chunk buffer (8 MB) and one block's generators (0.84 MB);
-writing adds an int64 index column. Per observed increment the traced peak
-was 16.4-16.8 bytes and max RSS grew by 18.6, at fine multipliers 1 and 16
-(m = 100-200, n = 2 x 10^4), so a run peaks under 1 GB."""
+writing adds one WRITE_ROWS chunk of text. Per observed increment the traced
+peak was 9.2-9.7 bytes and max RSS grew by 11.4-14.2, at fine multipliers 1
+and 16 (m = 100-200, n = 2 x 10^4), so a run peaks under 1 GB."""
 
 
 def cmd_simulate(args) -> int:

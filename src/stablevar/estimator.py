@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from stablevar.limit_law import limit_scale, ref_cdf_half_stable
-from stablevar.pvariation import terminal_pvariation
+from stablevar.pvariation import exp_scaled, log_abs
 from stablevar.stable_law import StableParams
 
 
@@ -86,11 +86,13 @@ def _c_prime_coupled(c, p: float):
     return float(c_prime) if c_prime.ndim == 0 else c_prime
 
 
-def _coupled_distance(blocks: np.ndarray, c, p: float):
+def _coupled_distance(log_blocks: np.ndarray, c, p: float):
     """D_n(C, p): the KS distance of the uncompensated p-variations
-    V_p^n(X^(i))_1 of the rows of the (m, n) blocks to the half-stable law of
-    scale C' = C^p k(p), for each C in c at once (a scalar c gives a float)."""
-    return ks_distance(terminal_pvariation(blocks, p), _c_prime_coupled(c, p))
+    V_p^n(X^(i))_1 of the rows of the (m, n) blocks, given as log_blocks =
+    log|blocks|, to the half-stable law of scale C' = C^p k(p), for each C in
+    c at once (a scalar c gives a float)."""
+    pvar = np.sum(exp_scaled(log_blocks, p), axis=-1)
+    return ks_distance(pvar, _c_prime_coupled(c, p))
 
 
 def _grid_summary(c_grid, p_grid, d):
@@ -124,13 +126,15 @@ class KSSurface:
 
 
 def ks_surface(blocks: np.ndarray, c_grid, p_grid) -> KSSurface:
-    """Evaluate D_n(C, p) of the (m, n) blocks on the full grid: per p, one
-    ks_distance call walks the C axis in chunks of KS_CHUNK_VALUES pairs."""
+    """Evaluate D_n(C, p) of the (m, n) blocks on the full grid: log|blocks|
+    is taken once, then per p one ks_distance call walks the C axis in chunks
+    of KS_CHUNK_VALUES pairs."""
     c_grid = np.asarray(c_grid, dtype=float)
     p_grid = np.asarray(p_grid, dtype=float)
     if len(c_grid) == 0 or len(p_grid) == 0:
         raise ValueError("grids must be non-empty")
-    d = np.column_stack([_coupled_distance(blocks, c_grid, p) for p in p_grid])
+    log_blocks = log_abs(blocks)
+    d = np.column_stack([_coupled_distance(log_blocks, c_grid, p) for p in p_grid])
     bad = np.argwhere(~np.isfinite(d))
     if len(bad) > 0:
         i, j = bad[0]
@@ -213,9 +217,9 @@ for the KS distance to locate a minimum."""
 
 MAX_GRID_CELLS = 1_000_000
 """Most (C, p) grid cells a GridConfig accepts, about 220 times the default
-57 x 79 = 4,503. Each cell is one KS distance over the m blocks (about 6 us
-at m = 200 on a 2-core x86 host), so this bounds the grid search's time
-before any array is built."""
+57 x 79 = 4,503. Each cell is one KS distance over the m blocks (about
+4.7 us at m = 200 on a 2-core x86 host), so this bounds the grid search's
+time before any array is built."""
 
 
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
@@ -312,13 +316,15 @@ def estimate(blocks: np.ndarray, config: GridConfig | None = None) -> Estimation
     )
 
     if config.refine:
+        log_blocks = log_abs(blocks)
+
         def objective(theta):
             # outside the window every point scores the largest distance, so
             # no vertex there can beat d_min, and alpha = p/2 stays below 2
             c, p = theta
             if not (config.c_min <= c <= config.c_max and config.p_min <= p <= config.p_max):
                 return 1.0
-            return _coupled_distance(blocks, c, p)
+            return _coupled_distance(log_blocks, c, p)
 
         x, fun = _nelder_mead(objective, [c_star, p_star])
         if fun < d_min:

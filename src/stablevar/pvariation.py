@@ -10,15 +10,28 @@ from stablevar.path_sim import PathSample
 from stablevar.stable_law import StableParams, abs_moment, sin_moment
 
 
-def abs_powers(increments: np.ndarray, p: float) -> np.ndarray:
-    """|x|^p elementwise as exp(p log|x|) for p > 0, in one buffer; a zero
-    increment gives exp(-inf) = 0 exactly, and a power beyond the float range
-    is inf, as x**p would give, without a warning."""
+def log_abs(increments: np.ndarray) -> np.ndarray:
+    """log|x| elementwise, in a new float array; a zero increment gives -inf
+    without a warning."""
     x = np.abs(np.asarray(increments, dtype=float))
-    with np.errstate(divide="ignore", over="ignore"):
-        np.log(x, out=x)
-        x *= p
+    with np.errstate(divide="ignore"):
+        return np.log(x, out=x)
+
+
+def exp_scaled(log_x: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
+    """|x|^p = exp(p log|x|) for p > 0 from log_x = log|x|, into out (a new
+    array by default; log_x itself may be given): a zero increment's -inf
+    gives 0 exactly, and a power beyond the float range is inf, as x**p would
+    give, without a warning."""
+    x = np.multiply(log_x, p, out=out)
+    with np.errstate(over="ignore"):
         return np.exp(x, out=x)
+
+
+def abs_powers(increments: np.ndarray, p: float) -> np.ndarray:
+    """|x|^p elementwise for p > 0, in one buffer: exp_scaled of log_abs."""
+    x = log_abs(increments)
+    return exp_scaled(x, p, out=x)
 
 
 def terminal_pvariation(increments: np.ndarray, p: float) -> float | np.ndarray:

@@ -5,6 +5,7 @@ import stat
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +66,18 @@ class TestSeriesIO:
         np.testing.assert_array_equal(back, values)
         assert n is None
         assert open(path).readline() == '# stablevar v1 {"mode": "increments"}\n'
+
+    def test_write_holds_no_index_column(self, tmp_path):
+        # the writer holds one WRITE_ROWS chunk of text, 5.8 bytes a value
+        # here; an int64 index column as long as the series made it 14.4
+        values = np.random.default_rng(2).standard_cauchy(100_000)
+        tracemalloc.start()
+        try:
+            write_series(str(tmp_path / "s.csv"), values, {})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < values.nbytes
 
     @pytest.mark.parametrize("rows", [1, 3, 10, 11])
     def test_rows_formatted_in_chunks_give_the_same_bytes(self, tmp_path, monkeypatch, rows):
@@ -127,6 +140,82 @@ class TestSeriesIO:
         path.write_text("")
         with pytest.raises(CSVParseError):
             read_series(str(path))
+
+
+# junk for an increments file: a line inserted among the valid rows, a
+# transform of the whole file, or a byte put inside one row; np.loadtxt
+# strips each of these bytes around a field, where the line reader takes it
+# as a line break or as a byte that is not UTF-8
+INSERTED_LINES = (b"1.0,2", b"1_000,2", b"0,2_0.5", b"0,1.5 # c", b" 4 , 2.5 ", b"0,nan",
+                  b"0,1e400", b"99999999999999999999999,1", b"# note", b"")
+FILE_TRANSFORMS = ("crlf", "bom")
+INSIDE_BYTES = (b"\x0c", b"\x0b", b"\x1c", b"\r", b"\x85", b"\xa0", b"\xc2\x85")
+
+
+def read_both(path):
+    """What read_series and the line reader each give for the file: the
+    values' bytes and n, or the CSVParseError text."""
+    out = []
+    for reader in (read_series, cli._read_lines):
+        try:
+            values, n = reader(path)
+            out.append((np.ascontiguousarray(values).tobytes(), values.dtype, n))
+        except CSVParseError as exc:
+            out.append(str(exc))
+    return out
+
+
+class TestVectorizedRead:
+    # deterministic: derandomized examples, so no false-failure rate; each
+    # example rewrites the one file
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        n=st.none() | st.integers(1, 5),
+        values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=0, max_size=8),
+        junk=st.none()
+        | st.tuples(st.just("insert"), st.integers(0, 8), st.sampled_from(INSERTED_LINES))
+        | st.tuples(st.sampled_from(FILE_TRANSFORMS), st.just(0), st.just(b""))
+        | st.tuples(st.just("inside"), st.integers(0, 200), st.sampled_from(INSIDE_BYTES)),
+    )
+    @example(n=None, values=[1.5, 2.5], junk=("inside", 1, b"\x0c"))
+    @example(n=3, values=[1.5, 2.5], junk=("inside", 3, b"\x85"))
+    def test_equals_the_line_reader(self, tmp_path, n, values, junk):
+        # the same bits and n from both readers, or the same parse error
+        config = {} if n is None else {"n": n}
+        path = tmp_path / "s.csv"
+        write_series(str(path), np.array(values, dtype=float), config)
+        data = path.read_bytes()
+        if junk is not None:
+            kind, at, text = junk
+            header, _, body = data.partition(b"\n")
+            rows = body.split(b"\n")[:-1]
+            if kind == "insert":
+                rows.insert(min(at, len(rows)), text)
+            elif kind == "inside" and rows:
+                row = rows[at % len(rows)]
+                cut = at % (len(row) + 1)
+                rows[at % len(rows)] = row[:cut] + text + row[cut:]
+            data = header + b"\n" + b"".join(row + b"\n" for row in rows)
+            if kind == "crlf":
+                data = data.replace(b"\n", b"\r\n")
+            elif kind == "bom":
+                data = b"\xef\xbb\xbf" + data
+        path.write_bytes(data)
+        fast, lines = read_both(str(path))
+        assert fast == lines
+
+    def test_simulate_output_takes_the_vectorized_path(self, tmp_path, monkeypatch):
+        # a file simulate writes is read by np.loadtxt alone, to the bits the
+        # line reader gives
+        out = str(tmp_path / "s.csv")
+        assert run(["simulate", "--m", "20", "--n", "50", "--output", out]) == 0
+        expected, expected_n = cli._read_lines(out)
+        monkeypatch.setattr(cli, "_read_lines", lambda path: pytest.fail("line reader ran"))
+        values, n = read_series(out)
+        np.testing.assert_array_equal(values, expected)
+        assert n == expected_n == 50
+        assert len(values) == 20 * 50
 
 
 class TestSimulate:

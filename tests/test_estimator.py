@@ -23,7 +23,7 @@ from stablevar.estimator import (
 )
 from stablevar.limit_law import limit_scale, ref_cdf_half_stable
 from stablevar.path_sim import sde_increments, simulate_levy
-from stablevar.pvariation import terminal_pvariation
+from stablevar.pvariation import log_abs, terminal_pvariation
 from stablevar.scenarios import CHUNK_STEPS
 from stablevar.stable_law import RandomStream, StableParams, sample_stable
 
@@ -200,8 +200,21 @@ class TestKsSurface:
         blocks = np.random.default_rng(8).standard_cauchy((500, 10))
         c_grid = np.linspace(0.5, 20.0, 4_100)
         d = ks_surface(blocks, c_grid, [1.5]).d_values[:, 0]
-        scalar = [estimator._coupled_distance(blocks, c, 1.5) for c in c_grid.tolist()]
+        log_blocks = log_abs(blocks)
+        scalar = [estimator._coupled_distance(log_blocks, c, 1.5) for c in c_grid.tolist()]
         np.testing.assert_array_equal(d, scalar)
+
+    @pytest.mark.parametrize("p", [0.8, 1.5, 3.55])
+    def test_distance_from_the_log_equals_distance_from_the_blocks(self, p):
+        # exp(p log|x|) of the shared log holds the bits terminal_pvariation
+        # gives; exact zeros and a power beyond the float range included
+        blocks = np.random.default_rng(9).standard_cauchy((60, 25))
+        blocks[3, :5] = 0.0
+        blocks[7, 2] = 1e200
+        c = np.linspace(0.5, 20.0, 40)
+        expected = ks_distance(terminal_pvariation(blocks, p), estimator._c_prime_coupled(c, p))
+        np.testing.assert_array_equal(estimator._coupled_distance(log_abs(blocks), c, p),
+                                      expected)
 
 
 class TestCPrimeCoupled:
@@ -455,6 +468,20 @@ class TestEstimate:
                                              res.grid_argmin)
         assert GridConfig().p_max - res.p_star <= estimator.REFINE_XATOL
         assert res.boundary
+
+    @pytest.mark.parametrize("refine", [True, False])
+    def test_takes_the_log_of_the_blocks_at_most_twice(self, monkeypatch, refine):
+        # once for the grid search and once for all the refine's evaluations
+        calls = []
+
+        def spy(x):
+            calls.append(np.shape(x))
+            return log_abs(x)
+
+        monkeypatch.setattr(estimator, "log_abs", spy)
+        blocked = self.make_blocked(StableParams(0.75, 6.35), seed=8, m=40, n=50)
+        estimate(blocked, GridConfig(refine=refine))
+        assert calls == [blocked.shape] * (2 if refine else 1)
 
     def test_boundary_flag_on_gaussian_input(self):
         # Gaussian data pushes p* to the top of a deliberately short p window

@@ -11,7 +11,14 @@ from scipy.special import gamma as gamma_fn
 from scipy.stats import ks_2samp
 
 from stablevar.path_sim import PathSample, simulate_levy
-from stablevar.pvariation import compensated_terminal, compensator, terminal_pvariation
+from stablevar.pvariation import (
+    abs_powers,
+    compensated_terminal,
+    compensator,
+    exp_scaled,
+    log_abs,
+    terminal_pvariation,
+)
 from stablevar.stable_law import RandomStream, StableParams, sample_stable
 
 
@@ -95,6 +102,27 @@ class TestTerminalPVariationBatch:
     def test_one_path_gives_float(self):
         v = terminal_pvariation(np.array([1.0, -2.0, 0.0]), 2.0)
         assert type(v) is float and v == 5.0
+
+
+class TestAbsPowers:
+    @pytest.mark.filterwarnings("error")
+    def test_zero_gives_zero_and_overflow_inf_without_warning(self):
+        x = np.array([0.0, -0.0, 2.0, -3.0, 1e200, -1e-200])
+        powers = abs_powers(x, 2.0)
+        np.testing.assert_array_equal(powers[[0, 1, 4, 5]], [0.0, 0.0, np.inf, 0.0])
+        np.testing.assert_allclose(powers[2:4], [4.0, 9.0], rtol=1e-15)
+        np.testing.assert_array_equal(log_abs(x)[:2], [-np.inf, -np.inf])
+
+    @settings(max_examples=100, deadline=None)
+    @given(batches, st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.3]))
+    def test_one_log_serves_every_power(self, inc, p):
+        # exp_scaled into a new array or in place, from one log, gives
+        # abs_powers' bits, and leaves the shared log as it was
+        log_x = log_abs(inc)
+        kept = log_x.copy()
+        np.testing.assert_array_equal(exp_scaled(log_x, p), abs_powers(inc, p))
+        np.testing.assert_array_equal(log_x, kept)
+        np.testing.assert_array_equal(exp_scaled(log_x, p, out=log_x), abs_powers(inc, p))
 
 
 class TestCompensator:
