@@ -13,6 +13,7 @@ import io
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -115,21 +116,24 @@ def read_series(path: str) -> tuple[np.ndarray, int | None]:
     if (mode == "increments" and body.count(b"\n") < len(body)
             and not body.translate(None, INCREMENT_BYTES)):
         try:
-            rows = np.loadtxt(io.BytesIO(body), delimiter=",", comments=None,
-                              dtype=[("i", "i8"), ("v", "f8")], ndmin=1)
-        except ValueError:
+            # numpy from 1.23 until the deprecation ends parses an index such
+            # as 1.0 or 1e3 through float with a warning; int() refuses it
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                rows = np.loadtxt(io.BytesIO(body), delimiter=",", comments=None,
+                                  dtype=[("i", "i8"), ("v", "f8")], ndmin=1)
+        except (ValueError, DeprecationWarning):
             pass
         else:
             if np.all(np.isfinite(rows["v"])):
-                return rows["v"], n
-    return _read_lines(path)
+                return np.ascontiguousarray(rows["v"]), n
+    return _read_lines(first + body)
 
 
-def _read_lines(path: str) -> tuple[np.ndarray, int | None]:
-    """read_series, one line at a time: the source of every CSVParseError."""
+def _read_lines(data: bytes) -> tuple[np.ndarray, int | None]:
+    """read_series of a file's bytes, one line at a time: the source of every
+    CSVParseError."""
     values = []
-    with open(path, "rb") as fh:
-        data = fh.read()
     try:
         raw = data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from stablevar.limit_law import limit_scale, ref_cdf_half_stable
-from stablevar.pvariation import exp_scaled, log_abs
+from stablevar.pvariation import log_abs, log_pvariation
 from stablevar.stable_law import StableParams
 
 
@@ -91,8 +91,7 @@ def _coupled_distance(log_blocks: np.ndarray, c, p: float):
     V_p^n(X^(i))_1 of the rows of the (m, n) blocks, given as log_blocks =
     log|blocks|, to the half-stable law of scale C' = C^p k(p), for each C in
     c at once (a scalar c gives a float)."""
-    pvar = np.sum(exp_scaled(log_blocks, p), axis=-1)
-    return ks_distance(pvar, _c_prime_coupled(c, p))
+    return ks_distance(log_pvariation(log_blocks, p), _c_prime_coupled(c, p))
 
 
 def _grid_summary(c_grid, p_grid, d):

@@ -34,12 +34,24 @@ def abs_powers(increments: np.ndarray, p: float) -> np.ndarray:
     return exp_scaled(x, p, out=x)
 
 
+def _power_sums(powers: np.ndarray) -> np.ndarray:
+    """The p-variation's one sum: the |x|^p terms summed pairwise over the
+    last axis, so a p-variation from x or from log|x| has the same bits."""
+    return np.sum(powers, axis=-1)
+
+
+def log_pvariation(log_x: np.ndarray, p: float) -> np.ndarray:
+    """terminal_pvariation's sums, to its bits, from log_x = log|x| for p > 0:
+    a log taken once serves every p, and is left as it was."""
+    return _power_sums(exp_scaled(log_x, p))
+
+
 def terminal_pvariation(increments: np.ndarray, p: float) -> float | np.ndarray:
     """Terminal value sum |increment_i|^p over the last axis, with pairwise
     summation: a float for one path, one value per row for an (m, n) batch."""
     if p <= 0.0:
         raise ValueError(f"p must be positive, got {p}")
-    total = np.sum(abs_powers(increments, p), axis=-1)
+    total = _power_sums(abs_powers(increments, p))
     return float(total) if total.ndim == 0 else total
 
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -156,10 +157,12 @@ def read_both(path):
     """What read_series and the line reader each give for the file: the
     values' bytes and n, or the CSVParseError text."""
     out = []
-    for reader in (read_series, cli._read_lines):
+    with open(path, "rb") as fh:
+        data = fh.read()
+    for reader, source in ((read_series, path), (cli._read_lines, data)):
         try:
-            values, n = reader(path)
-            out.append((np.ascontiguousarray(values).tobytes(), values.dtype, n))
+            values, n = reader(source)
+            out.append((values.tobytes(), values.dtype, values.flags.c_contiguous, n))
         except CSVParseError as exc:
             out.append(str(exc))
     return out
@@ -210,12 +213,39 @@ class TestVectorizedRead:
         # line reader gives
         out = str(tmp_path / "s.csv")
         assert run(["simulate", "--m", "20", "--n", "50", "--output", out]) == 0
-        expected, expected_n = cli._read_lines(out)
-        monkeypatch.setattr(cli, "_read_lines", lambda path: pytest.fail("line reader ran"))
+        with open(out, "rb") as fh:
+            expected, expected_n = cli._read_lines(fh.read())
+        monkeypatch.setattr(cli, "_read_lines", lambda data: pytest.fail("line reader ran"))
         values, n = read_series(out)
         np.testing.assert_array_equal(values, expected)
         assert n == expected_n == 50
         assert len(values) == 20 * 50
+
+
+    @pytest.mark.parametrize("index", [b"1.0", b"1e3"])
+    def test_a_float_index_that_loadtxt_only_warns_on_is_refused(self, tmp_path, monkeypatch,
+                                                                 index):
+        # numpy from 1.23 until the deprecation ends reads an int64 field
+        # such as 1.0 through float and only warns; read_series must still
+        # refuse it as int() does
+        loadtxt = np.loadtxt
+        calls = []
+
+        def warning_loadtxt(fname, **kwargs):
+            calls.append(kwargs["dtype"])
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning, stacklevel=2)
+            return loadtxt(fname, **{**kwargs, "dtype": [("i", "f8"), ("v", "f8")]})
+
+        path = tmp_path / "s.csv"
+        write_series(str(path), np.array([1.5, 2.5]), {})
+        path.write_bytes(path.read_bytes() + index + b",2\n")
+        _, lines = read_both(str(path))
+        monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+        with pytest.raises(CSVParseError) as exc:
+            read_series(str(path))
+        assert calls and str(exc.value) == lines == "line 4: invalid literal for int() " \
+            f"with base 10: '{index.decode()}'"
 
 
 class TestSimulate:

@@ -17,6 +17,7 @@ from stablevar.pvariation import (
     compensator,
     exp_scaled,
     log_abs,
+    log_pvariation,
     terminal_pvariation,
 )
 from stablevar.stable_law import RandomStream, StableParams, sample_stable
@@ -116,11 +117,14 @@ class TestAbsPowers:
     @settings(max_examples=100, deadline=None)
     @given(batches, st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.3]))
     def test_one_log_serves_every_power(self, inc, p):
-        # exp_scaled into a new array or in place, from one log, gives
-        # abs_powers' bits, and leaves the shared log as it was
+        # exp_scaled into a new array or in place, and log_pvariation, from
+        # one log, give abs_powers' and terminal_pvariation's bits, and leave
+        # the shared log as it was
         log_x = log_abs(inc)
         kept = log_x.copy()
         np.testing.assert_array_equal(exp_scaled(log_x, p), abs_powers(inc, p))
+        np.testing.assert_array_equal(log_x, kept)
+        np.testing.assert_array_equal(log_pvariation(log_x, p), terminal_pvariation(inc, p))
         np.testing.assert_array_equal(log_x, kept)
         np.testing.assert_array_equal(exp_scaled(log_x, p, out=log_x), abs_powers(inc, p))
 
