@@ -20,7 +20,7 @@ import numpy as np
 from stablevar.estimator import EstimationError, GridConfig, block_split, estimate, ks_surface
 from stablevar.path_sim import sde_increments
 from stablevar.stable_law import StableParams
-from stablevar.scenarios import CHUNK_STEPS, SCENARIOS, check_sizes, run_scenario
+from stablevar.scenarios import SCENARIOS, check_sizes, run_scenario
 
 MAGIC = "# stablevar v1 "
 
@@ -206,10 +206,8 @@ def cmd_simulate(args) -> int:
             raise ValueError(f"--x0 must be finite, got {args.x0!r}")
         # a path that overflows is reported below, not warned about
         with np.errstate(all="ignore"):
-            increments = sde_increments(
-                params, DRIFTS[args.drift], args.n, args.m, args.seed, CHUNK_STEPS,
-                fine=args.fine_multiplier, T=args.T, x0=args.x0,
-            )
+            increments = sde_increments(params, DRIFTS[args.drift], args.n, args.m, args.seed,
+                                        fine=args.fine_multiplier, T=args.T, x0=args.x0)
         bad = np.count_nonzero(~np.isfinite(increments))
         if bad:
             raise ValueError(f"{bad} of {increments.size} simulated increments are not finite")

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from stablevar.path_sim import PathSample
@@ -82,5 +80,5 @@ def compensator(params: StableParams, p: float, n: int) -> float:
 def compensated_terminal(path: PathSample, p: float, params: StableParams) -> float:
     """V_p^n(X)_T - floor(nT) * B_n(alpha, p)."""
     b = compensator(params, p, path.n)
-    k_max = int(math.floor(path.n * path.horizon_T))
-    return terminal_pvariation(path.increments(), p) - k_max * b
+    increments = path.increments()
+    return terminal_pvariation(increments, p) - len(increments) * b

@@ -34,14 +34,6 @@ def ks_threshold(m: int) -> float:
     return 1.52 * math.sqrt(2.0 / m)
 
 
-CHUNK_STEPS = 1000
-"""Steps that sde_statistic_pairs, and simulate in whole observation steps,
-draw and Euler-step at once for a block of streams. It is fixed, so the row
-sums, added chunk by chunk, do not depend on m or the thread count. At
-m = 2000, n = 10^4 chunks of 500 or 2000 steps made cor-sde 20-25% and 15%
-slower (2-vCPU x86-64)."""
-
-
 def _check_stream_sizes(n: int, m: int) -> None:
     """Raise ValueError unless the statistic functions can draw m >= 0
     streams of n >= 1 steps."""
@@ -64,13 +56,13 @@ def levy_statistic_sample(
     and return one row of m values per exponent: V_p^n(L)_1 = sum |dL|^p for
     each p in ps, then V_p^n(L + Y)_1 = sum |dL + dY|^p for each p in
     shifted_ps, where dY holds the increments of the callable perturbation
-    t -> Y_t on the grid. The blocks are walked in one chunk of the full
-    width n, so each row is drawn in one fill and summed in one pairwise
-    sum. Raises ValueError, before drawing, unless n >= 1 and m >= 0."""
+    t -> Y_t on the grid. walk_chunks takes each row whole, so each row is
+    drawn in one fill and summed in one pairwise sum. Raises ValueError,
+    before drawing, unless n >= 1 and m >= 0."""
     _check_stream_sizes(n, m)
     if shifted_ps:
         t = np.arange(n + 1) / n
-        dY = np.diff(np.asarray([perturbation(tt) for tt in t], dtype=float))
+        dY = np.diff(np.fromiter(map(perturbation, t), float, n + 1))
     out = np.empty((len(ps) + len(shifted_ps), m))
 
     def sums(dL, lo, hi):
@@ -81,7 +73,7 @@ def levy_statistic_sample(
         for k, p in enumerate(shifted_ps, len(ps)):
             out[k, lo:hi] = terminal_pvariation(dL, p)
 
-    walk_chunks(params, n, m, seed, n, sums)
+    walk_chunks(params, n, m, seed, sums)
     return out
 
 
@@ -127,10 +119,10 @@ def sde_statistic_pairs(
     path on the grid of spacing 1/n and X the Euler solution from X_0 = 0
     with the vectorized drift f(x), driven by the same grid increments.
 
-    walk_chunks walks the streams in chunks of CHUNK_STEPS steps and adds
-    each row's sums of |dL|^p and |dX|^p over a chunk to its totals. Over
-    n > CHUNK_STEPS steps these sums of chunk sums differ from one pairwise
-    sum over the row only in the last bits."""
+    walk_chunks walks the streams in chunks of path_sim.CHUNK_STEPS steps
+    and adds each row's sums of |dL|^p and |dX|^p over a chunk to its
+    totals. Over n > CHUNK_STEPS steps these sums of chunk sums differ from
+    one pairwise sum over the row only in the last bits."""
     _check_stream_sizes(n, m)
     v_sde = np.zeros(m)
     v_levy = np.zeros(m)
@@ -141,7 +133,7 @@ def sde_statistic_pairs(
     def add_sde_sums(dX, lo, hi):
         v_sde[lo:hi] += terminal_pvariation(dX, p)
 
-    walk_chunks(params, n, m, seed, min(n, CHUNK_STEPS), add_levy_sums, drift, add_sde_sums)
+    walk_chunks(params, n, m, seed, add_levy_sums, drift, add_sde_sums)
     return v_sde, v_levy
 
 
@@ -171,11 +163,11 @@ thm1-sub from m = 10^5 to 3 x 10^5 (800 before blocks were capped), so a
 run at this bound holds about 0.25 GB."""
 
 MAX_STEPS = 25_000_000
-"""The most steps per path, about 1.4 GB here. At n > path_sim.CHUNK_VALUES the
+"""The most steps per path, about 0.9 GB here. At n > path_sim.CHUNK_VALUES the
 Theorem walk holds one row of n increments, with its CMS and |x|^p scratch,
-n values each. The perturbation Y = sin is sampled on the n + 1 grid points
-as a Python list (about 32 bytes a point), which then becomes arrays. At
-m = 5, peak memory grew by 54 bytes a step from n = 2 x 10^6 to 6 x 10^6."""
+n values each, and the perturbation Y = sin sampled on the n + 1 grid points
+and its increments. At m = 5, max RSS grew by 36 bytes a step from
+n = 2 x 10^6 to 6 x 10^6."""
 
 
 def check_sizes(m: int, n: int) -> None:

@@ -24,7 +24,6 @@ from stablevar.estimator import (
 from stablevar.limit_law import limit_scale, ref_cdf_half_stable
 from stablevar.path_sim import sde_increments, simulate_levy
 from stablevar.pvariation import log_abs, terminal_pvariation
-from stablevar.scenarios import CHUNK_STEPS
 from stablevar.stable_law import RandomStream, StableParams, sample_stable
 
 
@@ -594,7 +593,7 @@ class TestCalibration:
         params, n = StableParams(alpha, 2.0, beta), 200
         fits = []
         for seed in range(5):
-            blocks = sde_increments(params, np.cos, n, 200, seed, CHUNK_STEPS, fine=16)
+            blocks = sde_increments(params, np.cos, n, 200, seed, fine=16)
             fits.append(estimate(blocks).alpha_star)
         hits = sum(abs(a - alpha) <= 0.15 for a in fits)
         assert hits >= min_hits, fits

@@ -59,7 +59,7 @@ GOLDEN = {
         "20796d9cc7dd9d8b87c926f8d8b12220e0df14085568673f08c3845448476b82",
     "sde.cor-sde.levy":
         "24a71462c92879cc16c1c388457e69d33a336e1f99d7576e74b660f7cd31d2d5",
-    # n = 10^4 spans 10 chunks of scenarios.CHUNK_STEPS, whose sums are added
+    # n = 10^4 spans 10 chunks of path_sim.CHUNK_STEPS, whose sums are added
     # chunk by chunk; the n = 300 digests above span one chunk
     "sde.cor-sde.two-blocks.sde":
         "8d143c5132bd8f1b33591d0c002ac48e87f87b05d704ddd2908780ad3b8b8f39",

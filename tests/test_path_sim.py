@@ -18,7 +18,6 @@ from stablevar.path_sim import (
 )
 from stablevar.pvariation import compensator, terminal_pvariation
 from stablevar.scenarios import (
-    CHUNK_STEPS,
     levy_statistic_sample,
     sde_statistic_pairs,
     two_sample_ks,
@@ -129,7 +128,7 @@ class TestSimulateSde:
         # with f = 0 the Euler levels are the Levy path's cumulative sums, so
         # the coarse-grid increments are the same differences
         stream = RandomStream(5)
-        sde = sde_increments(P075, ZERO, 100, 1, 5, CHUNK_STEPS, fine=16)[0]
+        sde = sde_increments(P075, ZERO, 100, 1, 5, fine=16)[0]
         levy = simulate_levy(P075, 1600, 1.0, stream).values[::16]
         np.testing.assert_array_equal(sde, np.diff(levy))
 
@@ -141,23 +140,23 @@ class TestSimulateSde:
         # |f| <= 1 for f = cos implies |X_t - (x0 + L_t)| <= t on the grid,
         # X_t being x0 plus the partial sums of the increments
         stream = RandomStream(7)
-        sde = sde_increments(P075, COS, 100, 1, 7, CHUNK_STEPS, fine=8, T=2.0, x0=1.0)[0]
+        sde = sde_increments(P075, COS, 100, 1, 7, fine=8, T=2.0, x0=1.0)[0]
         levy = simulate_levy(P075, 800, 2.0, stream).values[8::8]
         t = np.arange(1, 201) / 100
         assert np.all(np.abs((1.0 + np.cumsum(sde)) - (1.0 + levy)) <= t + 1e-12)
 
     def test_batch_matches_scalar_path(self):
         # row i is stream i's path, however many streams are drawn with it
-        batch = sde_increments(P075, COS, 100, 3, 8, CHUNK_STEPS, fine=4, x0=0.5)
+        batch = sde_increments(P075, COS, 100, 3, 8, fine=4, x0=0.5)
         for i in range(3):
-            single = sde_increments(P075, COS, 100, i + 1, 8, CHUNK_STEPS, fine=4, x0=0.5)[i]
+            single = sde_increments(P075, COS, 100, i + 1, 8, fine=4, x0=0.5)[i]
             np.testing.assert_allclose(batch[i], single, rtol=1e-12, atol=1e-12)
 
     def test_refinement_consistency_in_law(self):
         # doubling the fine grid leaves the law of the terminal value
         # X_1 = x0 + sum of the increments unchanged (x0 = 0)
-        a = sde_increments(P075, COS, 100, 1000, 9, CHUNK_STEPS, fine=4)
-        b = sde_increments(P075, COS, 100, 1000, 10, CHUNK_STEPS, fine=8)
+        a = sde_increments(P075, COS, 100, 1000, 9, fine=4)
+        b = sde_increments(P075, COS, 100, 1000, 10, fine=8)
         assert ks_2samp(a.sum(axis=1), b.sum(axis=1)).pvalue > 0.01
 
 
@@ -172,16 +171,17 @@ class TestSdeIncrements:
     ]
 
     @pytest.mark.parametrize("params", [P075, P1_SKEWED], ids=["a075", "a1-skewed"])
-    @pytest.mark.parametrize("width", [CHUNK_STEPS, 7])
+    @pytest.mark.parametrize("width", [path_sim.CHUNK_STEPS, 7])
     @pytest.mark.parametrize("m, n, fine, T, x0", SIZES)
-    def test_equals_one_euler_call_over_sample_stable_rows(self, params, width, m, n, fine,
-                                                           T, x0):
+    def test_equals_one_euler_call_over_sample_stable_rows(self, monkeypatch, params, width,
+                                                           m, n, fine, T, x0):
         # at width 7 every chunk but the last is one or few observation steps,
         # and at CHUNK_STEPS = 1000, n = 1000, fine 16 the last of the
         # 62-step chunks holds 8 steps
+        monkeypatch.setattr(path_sim, "CHUNK_STEPS", width)
         expected = euler(x0, COS, grid_rows(params, fine * n, 9, m, T), fine * n, n)
         np.testing.assert_array_equal(
-            sde_increments(params, COS, n, m, 9, width, fine=fine, T=T, x0=x0), expected)
+            sde_increments(params, COS, n, m, 9, fine=fine, T=T, x0=x0), expected)
 
     def test_partial_last_block(self, monkeypatch):
         # 13 streams in blocks of 5, 5 and 3, in pool tasks of 2 streams, and
@@ -191,8 +191,9 @@ class TestSdeIncrements:
         m, n, fine, T = 13, 20, 3, 1.5
         monkeypatch.setattr(path_sim, "CHUNK_VALUES", 5 * 4 * fine)
         monkeypatch.setattr(path_sim, "TASK_VALUES", 2 * 4 * fine)
+        monkeypatch.setattr(path_sim, "CHUNK_STEPS", 4 * fine)
         expected = euler(0.2, COS, grid_rows(P075, fine * n, 9, m, T), fine * n, n)
-        got = sde_increments(P075, COS, n, m, 9, 4 * fine, fine=fine, T=T, x0=0.2)
+        got = sde_increments(P075, COS, n, m, 9, fine=fine, T=T, x0=0.2)
         np.testing.assert_array_equal(got, expected)
 
     def test_peak_does_not_grow_with_the_fine_multiplier(self):
@@ -200,7 +201,7 @@ class TestSdeIncrements:
         # be 16 times that, 25.6 MB
         tracemalloc.start()
         try:
-            sde_increments(P075, COS, 1000, 200, 0, CHUNK_STEPS, fine=16)
+            sde_increments(P075, COS, 1000, 200, 0, fine=16)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -212,10 +213,10 @@ class TestSdeIncrements:
         # caller's state reaches them
         huge = StableParams(0.3, 1e308)
         with np.errstate(all="ignore"):
-            out = sde_increments(huge, ZERO, 50, 20, 0, CHUNK_STEPS, fine=16)
+            out = sde_increments(huge, ZERO, 50, 20, 0, fine=16)
         assert not np.all(np.isfinite(out))
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            path_sim.walk_chunks(huge, 50, 20, 0, CHUNK_STEPS, fine=16)
+            path_sim.walk_chunks(huge, 50, 20, 0, fine=16)
 
 
 def reference_levels(x0, drift, dL, n_fine, n_obs):

@@ -39,8 +39,7 @@ CASES = {
         P15, 60, M, 3, (1.0,)) - 60 * compensator(P15, 1.0, 60),
     "sde": lambda: sde_statistic_pairs(P075, COS, 1.5, 60, M, seed=4),
     "theorem-sample": lambda: np.array(list(fresh_theorem_sample(3, M, 60).values())),
-    "simulate": lambda: path_sim.sde_increments(P075, COS, 20, M, 3, scenarios.CHUNK_STEPS,
-                                                fine=3, x0=0.5),
+    "simulate": lambda: path_sim.sde_increments(P075, COS, 20, M, 3, fine=3, x0=0.5),
 }
 N = 60  # every case draws 60 increments per stream
 
@@ -146,7 +145,7 @@ class TestBlockMemory:
         for statistic in (
             lambda: sde_statistic_pairs(P075, COS, 1.5, 1, m, seed=4),
             lambda: levy_statistic_sample(P15, 1, m, 3, (1.0,)),
-            lambda: path_sim.sde_increments(P075, COS, 1, m, 4, scenarios.CHUNK_STEPS),
+            lambda: path_sim.sde_increments(P075, COS, 1, m, 4),
         ):
             blocks.clear()
             statistic()
@@ -316,7 +315,7 @@ class TestSdePeak:
     def test_peak_does_not_grow_with_n(self):
         # cor-sde holds one chunk buffer of CHUNK_STEPS steps per stream and
         # per-task scratch, whatever n is
-        m, width = 40, scenarios.CHUNK_STEPS
+        m, width = 40, path_sim.CHUNK_STEPS
         peaks = []
         for n in (2 * width, 20 * width):
             tracemalloc.start()
@@ -361,7 +360,7 @@ class TestBlockFloor:
     @pytest.mark.parametrize("rows_worth", [2, 8, 20])
     @pytest.mark.parametrize("workers", [1, 4, 16, 200])
     def test_blocks_keep_min_rows(self, monkeypatch, rows_worth, workers):
-        width = scenarios.CHUNK_STEPS
+        width = path_sim.CHUNK_STEPS
         m, n = 40, 2 * width + 3
         monkeypatch.setattr(path_sim, "CHUNK_VALUES", rows_worth * width)
         monkeypatch.setattr(path_sim, "_workers", lambda: workers)
@@ -379,7 +378,7 @@ class TestBlockFloor:
         threads, chunks = record_chunks(monkeypatch, 2000, 10_000)
         assert threads == workers
         assert chunks == [(1000, 1000)] * 20
-        assert 1000 * scenarios.CHUNK_STEPS <= path_sim.CHUNK_VALUES
+        assert 1000 * path_sim.CHUNK_STEPS <= path_sim.CHUNK_VALUES
 
 
 class TestSdeStreams:
@@ -388,19 +387,19 @@ class TestSdeStreams:
     def test_pair_independent_of_m_threads_and_grouping(self, monkeypatch, fast_switching):
         # three chunks, the last partial, n neither a multiple of 4 nor of
         # CHUNK_STEPS
-        n = 2 * scenarios.CHUNK_STEPS + 203
+        n = 2 * path_sim.CHUNK_STEPS + 203
         expected = np.array(sde_statistic_pairs(P075, COS, 1.5, n, M, seed=4))
         for m in (1, 6):
             np.testing.assert_array_equal(
                 sde_statistic_pairs(P075, COS, 1.5, n, m, seed=4), expected[:, :m])
         for workers, rows_worth, task_rows in ((1, 13, 64), (3, 5, 2), (2, 1, 1), (4, 4, 3)):
             monkeypatch.setattr(path_sim, "_workers", lambda: workers)
-            monkeypatch.setattr(path_sim, "CHUNK_VALUES", rows_worth * scenarios.CHUNK_STEPS)
-            monkeypatch.setattr(path_sim, "TASK_VALUES", task_rows * scenarios.CHUNK_STEPS)
+            monkeypatch.setattr(path_sim, "CHUNK_VALUES", rows_worth * path_sim.CHUNK_STEPS)
+            monkeypatch.setattr(path_sim, "TASK_VALUES", task_rows * path_sim.CHUNK_STEPS)
             np.testing.assert_array_equal(
                 sde_statistic_pairs(P075, COS, 1.5, n, M, seed=4), expected)
 
-    @pytest.mark.parametrize("n", [60, 2 * scenarios.CHUNK_STEPS + 203])
+    @pytest.mark.parametrize("n", [60, 2 * path_sim.CHUNK_STEPS + 203])
     def test_pair_matches_one_full_row_draw(self, n):
         # the chunk sums add up to the sums over each full row to within
         # rounding: 1e-13 relative bounds the error of adding at most a few
@@ -412,9 +411,21 @@ class TestSdeStreams:
         np.testing.assert_allclose(v_levy, terminal_pvariation(dL, 1.5), rtol=1e-13, atol=0)
         np.testing.assert_allclose(
             v_sde, terminal_pvariation(euler(0.0, COS, dL, n, n), 1.5), rtol=1e-13, atol=0)
-        if n <= scenarios.CHUNK_STEPS:
+        if n <= path_sim.CHUNK_STEPS:
             np.testing.assert_array_equal(v_levy, terminal_pvariation(dL, 1.5))
             np.testing.assert_array_equal(v_sde, terminal_pvariation(euler(0.0, COS, dL, n, n), 1.5))
+
+
+class TestLevyRows:
+    def test_row_equals_one_full_row_draw(self):
+        # a walk without a drift takes each row whole, however many
+        # CHUNK_STEPS it spans: one fill and one pairwise sum per row
+        n = 2 * path_sim.CHUNK_STEPS + 3
+        step = dataclasses.replace(P15, scale_C=n ** (-1.0 / P15.alpha))
+        dL = np.array([sample_stable(step, RandomStream(3, i), n) for i in range(M)])
+        out = levy_statistic_sample(P15, n, M, 3, (1.0, 2.0))
+        for row, p in zip(out, (1.0, 2.0)):
+            np.testing.assert_array_equal(row, terminal_pvariation(dL, p))
 
 
 class TestRunScenarioSizes:
