@@ -16,40 +16,22 @@ def log_abs(increments: np.ndarray) -> np.ndarray:
         return np.log(x, out=x)
 
 
-def exp_scaled(log_x: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
-    """|x|^p = exp(p log|x|) for p > 0 from log_x = log|x|, into out (a new
-    array by default; log_x itself may be given): a zero increment's -inf
-    gives 0 exactly, and a power beyond the float range is inf, as x**p would
-    give, without a warning."""
-    x = np.multiply(log_x, p, out=out)
-    with np.errstate(over="ignore"):
-        return np.exp(x, out=x)
-
-
-def abs_powers(increments: np.ndarray, p: float) -> np.ndarray:
-    """|x|^p elementwise for p > 0, in one buffer: exp_scaled of log_abs."""
-    x = log_abs(increments)
-    return exp_scaled(x, p, out=x)
-
-
-def _power_sums(powers: np.ndarray) -> np.ndarray:
-    """The p-variation's one sum: the |x|^p terms summed pairwise over the
-    last axis, so a p-variation from x or from log|x| has the same bits."""
-    return np.sum(powers, axis=-1)
-
-
 def log_pvariation(log_x: np.ndarray, p: float) -> np.ndarray:
-    """terminal_pvariation's sums, to its bits, from log_x = log|x| for p > 0:
-    a log taken once serves every p, and is left as it was."""
-    return _power_sums(exp_scaled(log_x, p))
+    """The p-variation's one kernel and sum: |x|^p = exp(p log|x|) from
+    log_x = log|x|, summed pairwise over the last axis. log_x is left as it
+    was, so one log serves every p. A zero's -inf gives 0 and an overflow inf,
+    as x**p would, without a warning. Raises ValueError unless 0 < p < inf."""
+    if not 0.0 < p < np.inf:
+        raise ValueError(f"p must be positive and finite, got {p}")
+    x = np.multiply(log_x, p)
+    with np.errstate(over="ignore"):
+        return np.sum(np.exp(x, out=x), axis=-1)
 
 
 def terminal_pvariation(increments: np.ndarray, p: float) -> float | np.ndarray:
     """Terminal value sum |increment_i|^p over the last axis, with pairwise
     summation: a float for one path, one value per row for an (m, n) batch."""
-    if p <= 0.0:
-        raise ValueError(f"p must be positive, got {p}")
-    total = _power_sums(abs_powers(increments, p))
+    total = log_pvariation(log_abs(increments), p)
     return float(total) if total.ndim == 0 else total
 
 
@@ -66,7 +48,7 @@ def compensator(params: StableParams, p: float, n: int) -> float:
     ValueError: one grid increment is then L_1/n shifted by (2/pi) beta C
     log(n)/n, so this B_n would drift with log n (stable_law.abs_moment)."""
     a = params.alpha
-    if p <= a / 2.0:
+    if not p > a / 2.0:
         raise ValueError(f"compensator requires p > alpha/2, got p={p}, alpha={a}")
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -13,7 +13,7 @@ import numpy as np
 
 from stablevar.limit_law import sample_limit
 from stablevar.path_sim import walk_chunks
-from stablevar.pvariation import compensator, terminal_pvariation
+from stablevar.pvariation import compensator, log_abs, log_pvariation, terminal_pvariation
 from stablevar.stable_law import RandomStream, StableParams
 
 
@@ -56,9 +56,9 @@ def levy_statistic_sample(
     and return one row of m values per exponent: V_p^n(L)_1 = sum |dL|^p for
     each p in ps, then V_p^n(L + Y)_1 = sum |dL + dY|^p for each p in
     shifted_ps, where dY holds the increments of the callable perturbation
-    t -> Y_t on the grid. walk_chunks takes each row whole, so each row is
-    drawn in one fill and summed in one pairwise sum. Raises ValueError,
-    before drawing, unless n >= 1 and m >= 0."""
+    t -> Y_t on the grid. walk_chunks takes each row whole: one fill, one log
+    of |dL| for all of ps and one pairwise sum per exponent. Raises
+    ValueError, before drawing, unless n >= 1 and m >= 0."""
     _check_stream_sizes(n, m)
     if shifted_ps:
         t = np.arange(n + 1) / n
@@ -66,8 +66,11 @@ def levy_statistic_sample(
     out = np.empty((len(ps) + len(shifted_ps), m))
 
     def sums(dL, lo, hi):
-        for k, p in enumerate(ps):
-            out[k, lo:hi] = terminal_pvariation(dL, p)
+        if ps:
+            log_dL = log_abs(dL)
+            for k, p in enumerate(ps):
+                out[k, lo:hi] = log_pvariation(log_dL, p)
+            del log_dL  # freed before the shifted rows take their own log
         if shifted_ps:
             dL += dY
         for k, p in enumerate(shifted_ps, len(ps)):

@@ -57,13 +57,15 @@ class RandomStream:
     stream_index: int = 0
 
     def __post_init__(self):
+        if not all(hasattr(type(v), "__index__") for v in (self.seed, self.stream_index)):
+            raise ValueError(f"seed and stream_index must be integers: {self.seed!r}, {self.stream_index!r}")
         if self.stream_index < 0:
             raise ValueError("stream_index must be non-negative")
 
     def generator(self, skip: int = 0) -> np.random.Generator:
         """Fresh counter-based generator positioned after the stream's first
         skip 64-bit outputs, as if skip uniform doubles had been drawn."""
-        key = np.array([self.seed % 2**64, self.stream_index], dtype=np.uint64)
+        key = np.array([int(self.seed) % 2**64, self.stream_index], dtype=np.uint64)
         bits = np.random.Philox(key=key)
         # Philox makes four outputs per counter step
         bits.advance(skip // 4)
@@ -260,7 +262,7 @@ def abs_moment(params: StableParams, p: float) -> float:
     Raises ValueError at alpha = 1, beta != 0: no closed form exists there,
     and a compensator built on it would be wrong anyway, since one grid
     increment S_1(C/n, beta, 0) is L_1/n shifted by (2/pi) beta C log(n)/n."""
-    if p <= 0.0:
+    if not p > 0.0:
         raise ValueError(f"p must be positive, got {p}")
     if p >= params.alpha and params.alpha < 2.0:
         raise ValueError(f"moment of order {p} is infinite for alpha={params.alpha}")

@@ -12,10 +12,8 @@ from scipy.stats import ks_2samp
 
 from stablevar.path_sim import PathSample, simulate_levy
 from stablevar.pvariation import (
-    abs_powers,
     compensated_terminal,
     compensator,
-    exp_scaled,
     log_abs,
     log_pvariation,
     terminal_pvariation,
@@ -47,8 +45,11 @@ class TestPVariation:
         assert abs(v - total) < 1e-9 * max(1.0, total)
 
     def test_rejects_bad_p(self):
-        with pytest.raises(ValueError):
-            terminal_pvariation(make_path([0.0, 1.0]).increments(), 0.0)
+        for p in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="p must be positive and finite"):
+                terminal_pvariation(make_path([0.0, 1.0]).increments(), p)
+            with pytest.raises(ValueError, match="p must be positive and finite"):
+                log_pvariation(np.zeros(3), p)
 
     def test_translation_invariance(self):
         path = simulate_levy(StableParams(1.2, 1.0), 500, 1.0, RandomStream(3))
@@ -109,7 +110,7 @@ class TestAbsPowers:
     @pytest.mark.filterwarnings("error")
     def test_zero_gives_zero_and_overflow_inf_without_warning(self):
         x = np.array([0.0, -0.0, 2.0, -3.0, 1e200, -1e-200])
-        powers = abs_powers(x, 2.0)
+        powers = terminal_pvariation(x[:, None], 2.0)
         np.testing.assert_array_equal(powers[[0, 1, 4, 5]], [0.0, 0.0, np.inf, 0.0])
         np.testing.assert_allclose(powers[2:4], [4.0, 9.0], rtol=1e-15)
         np.testing.assert_array_equal(log_abs(x)[:2], [-np.inf, -np.inf])
@@ -117,16 +118,12 @@ class TestAbsPowers:
     @settings(max_examples=100, deadline=None)
     @given(batches, st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.3]))
     def test_one_log_serves_every_power(self, inc, p):
-        # exp_scaled into a new array or in place, and log_pvariation, from
-        # one log, give abs_powers' and terminal_pvariation's bits, and leave
-        # the shared log as it was
+        # log_pvariation from one log gives terminal_pvariation's bits, and
+        # leaves the shared log as it was
         log_x = log_abs(inc)
         kept = log_x.copy()
-        np.testing.assert_array_equal(exp_scaled(log_x, p), abs_powers(inc, p))
-        np.testing.assert_array_equal(log_x, kept)
         np.testing.assert_array_equal(log_pvariation(log_x, p), terminal_pvariation(inc, p))
         np.testing.assert_array_equal(log_x, kept)
-        np.testing.assert_array_equal(exp_scaled(log_x, p, out=log_x), abs_powers(inc, p))
 
 
 class TestCompensator:
@@ -147,8 +144,9 @@ class TestCompensator:
         assert abs(b - x.mean()) < 3.0 * se
 
     def test_rejects_below_half_alpha(self):
-        with pytest.raises(ValueError):
-            compensator(StableParams(1.5, 1.0), 0.75, 100)
+        for p in (0.75, math.nan):
+            with pytest.raises(ValueError, match="p > alpha/2"):
+                compensator(StableParams(1.5, 1.0), p, 100)
 
     def test_rejects_alpha_one_skewed(self):
         # one grid increment is L_1/n shifted by (2/pi) beta C log(n)/n, so

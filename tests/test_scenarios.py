@@ -427,6 +427,20 @@ class TestLevyRows:
         for row, p in zip(out, (1.0, 2.0)):
             np.testing.assert_array_equal(row, terminal_pvariation(dL, p))
 
+    def test_one_log_per_task_for_the_unshifted_exponents(self, monkeypatch):
+        # each pool task takes log|dL| of its rows once for every p in ps,
+        # and not at all without one; the shifted rows take their own
+        rows = []
+        log_abs = scenarios.log_abs
+        monkeypatch.setattr(scenarios, "log_abs", lambda dL: rows.append(len(dL)) or log_abs(dL))
+        monkeypatch.setattr(path_sim, "TASK_VALUES", 2 * 60)
+        out = levy_statistic_sample(P15, 60, M, 3, (1.0, 2.0), (1.5,), math.sin)
+        assert sorted(rows, reverse=True) == [2] * (M // 2) + [1]
+        rows.clear()
+        np.testing.assert_array_equal(
+            levy_statistic_sample(P15, 60, M, 3, (), (1.5,), math.sin)[0], out[2])
+        assert rows == []
+
 
 class TestRunScenarioSizes:
     @pytest.mark.parametrize("m, n", [(0, 100), (4, 100), (-5, 100), (5, 0)])

@@ -48,6 +48,13 @@ class TestParams:
     def test_stream_validation(self):
         with pytest.raises(ValueError):
             RandomStream(1, -1)
+        # RandomStream(1.5) would draw RandomStream(1)'s numbers, and
+        # (1, 2.7) those of (1, 2)
+        for seed, index in ((1.5, 0), (1, 2.7), (np.float64(1.0), 0)):
+            with pytest.raises(ValueError, match="must be integers"):
+                RandomStream(seed, index)
+        assert RandomStream(np.int64(3), np.uint32(2)).generator().random() == \
+            RandomStream(3, 2).generator().random()
 
 
 class TestSampling:
@@ -235,8 +242,9 @@ class TestAbsMoment:
         p = StableParams(1.5, 1.0)
         with pytest.raises(ValueError):
             abs_moment(p, 1.5)
-        with pytest.raises(ValueError):
-            abs_moment(p, 0.0)
+        for q in (0.0, math.nan):
+            with pytest.raises(ValueError, match="p must be positive"):
+                abs_moment(p, q)
 
     def test_rejects_alpha_one_skewed(self):
         with pytest.raises(ValueError, match="alpha = 1, beta != 0"):
