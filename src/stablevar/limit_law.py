@@ -62,8 +62,8 @@ def limit_scale(params: StableParams, p: float) -> StableParams:
     form -C|lam|(1 - i beta (2/pi) sgn(lam) log|lam|) the law with beta = 1
     has its heavy tail on the left (it is scipy's beta = -1 in S1)."""
     a, c = params.alpha, params.scale_C
-    if p <= a / 2.0:
-        raise ValueError(f"limit_scale requires p > alpha/2, got p={p}, alpha={a}")
+    if not a / 2.0 < p < math.inf:
+        raise ValueError(f"limit_scale requires alpha/2 < p < inf, got p={p}, alpha={a}")
     if a >= 2.0:
         raise ValueError("limit_scale is undefined at the Gaussian boundary alpha=2")
     ratio = _cos_gamma(a / p) / _cos_gamma(a)

@@ -59,15 +59,11 @@ def _grid_law(params: StableParams, n: int, T: float) -> tuple[StableParams, int
     return replace(params, scale_C=scale), int(math.floor(n * T))
 
 
-def levy_increment_draws(
-    params: StableParams, n: int, streams: list[RandomStream], T: float = 1.0
-) -> StableDraws:
-    """The grid increments of independent stable Levy paths on {k/n}, k <= n*T,
-    in column chunks: StableDraws whose fills of widths adding up to
-    floor(n*T) give row i, side by side, sample_stable(grid law, streams[i],
-    floor(n*T)) bit for bit, the grid law being _grid_law's."""
-    step, k_max = _grid_law(params, n, T)
-    return StableDraws(step, streams, k_max)
+def _check_stream_sizes(n: int, m: int, fine: int = 1) -> None:
+    """Raise ValueError unless n >= 1, m >= 0 and fine >= 1, the sizes of a walk."""
+    for name, size, least in (("n", n, 1), ("m", m, 0), ("fine", fine, 1)):
+        if size < least:
+            raise ValueError(f"{name} must be >= {least}, got {name}={size}")
 
 
 def euler(
@@ -179,9 +175,11 @@ def walk_chunks(params, n, m, seed, draw_sums=None, drift=None, euler_sums=None,
     streams lo .. hi - 1. Given a drift, one euler call here then steps the
     block from X_0 = x0, writing the observed increments into out,
     (m, floor(fine n T) // fine), or over the drawn ones if out is None; pool
-    tasks then call euler_sums on their rows, if given."""
-    n_fine = fine * n
-    k_obs = _grid_law(params, n_fine, T)[1] // fine
+    tasks then call euler_sums on their rows, if given. Raises ValueError,
+    before drawing, unless n >= 1, m >= 0 and fine >= 1."""
+    _check_stream_sizes(n, m, fine)
+    law, k_fine = _grid_law(params, fine * n, T)
+    k_obs = k_fine // fine
     steps = max(1, k_obs if drift is None else min(k_obs, CHUNK_STEPS // fine))
     rows = max(1, min(m, BLOCK_STREAMS, CHUNK_VALUES // (steps * fine)))
     task_rows = max(1, TASK_VALUES // (steps * fine))
@@ -189,7 +187,7 @@ def walk_chunks(params, n, m, seed, draw_sums=None, drift=None, euler_sums=None,
     with ThreadPoolExecutor(max_workers=_workers()) as pool:
         for lo in range(0, m, rows):
             block = min(rows, m - lo)
-            draws = levy_increment_draws(params, n_fine, [RandomStream(seed, lo + i) for i in range(block)], T)
+            draws = StableDraws(law, [RandomStream(seed, lo + i) for i in range(block)], k_fine)
             x = np.full(block, x0, dtype=float)
             for j in range(0, k_obs, steps):
                 w = min(steps, k_obs - j)
@@ -203,7 +201,7 @@ def walk_chunks(params, n, m, seed, draw_sums=None, drift=None, euler_sums=None,
 
                 _map_rows(pool, block, task_rows, draw)
                 if drift is not None:
-                    euler(x, drift, chunk, n_fine, n, out=dX)
+                    euler(x, drift, chunk, fine * n, n, out=dX)
                     if euler_sums is not None:
                         _map_rows(pool, block, task_rows,
                                   lambda a, b: euler_sums(dX[a:b], lo + a, lo + b))
@@ -215,6 +213,7 @@ def sde_increments(params: StableParams, drift, n: int, m: int, seed: int,
     spacing 1/(fine n) over [0, T]: their (m, floor(fine n T) // fine)
     increments on the observation grid of spacing 1/n, row i stream i's
     path, walked in chunks of about CHUNK_STEPS fine steps (walk_chunks)."""
+    _check_stream_sizes(n, m, fine)
     out = np.empty((m, _grid_law(params, fine * n, T)[1] // fine))
     walk_chunks(params, n, m, seed, drift=drift, fine=fine, T=T, x0=x0, out=out)
     return out

@@ -16,13 +16,18 @@ def log_abs(increments: np.ndarray) -> np.ndarray:
         return np.log(x, out=x)
 
 
+def _check_exponent(p: float) -> None:
+    """Raise ValueError unless 0 < p < inf, the exponents of a p-variation."""
+    if not 0.0 < p < np.inf:
+        raise ValueError(f"p must be positive and finite, got {p}")
+
+
 def log_pvariation(log_x: np.ndarray, p: float) -> np.ndarray:
     """The p-variation's one kernel and sum: |x|^p = exp(p log|x|) from
     log_x = log|x|, summed pairwise over the last axis. log_x is left as it
     was, so one log serves every p. A zero's -inf gives 0 and an overflow inf,
     as x**p would, without a warning. Raises ValueError unless 0 < p < inf."""
-    if not 0.0 < p < np.inf:
-        raise ValueError(f"p must be positive and finite, got {p}")
+    _check_exponent(p)
     x = np.multiply(log_x, p)
     with np.errstate(over="ignore"):
         return np.sum(np.exp(x, out=x), axis=-1)

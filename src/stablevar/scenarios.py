@@ -12,8 +12,9 @@ from types import MappingProxyType
 import numpy as np
 
 from stablevar.limit_law import sample_limit
-from stablevar.path_sim import walk_chunks
-from stablevar.pvariation import compensator, log_abs, log_pvariation, terminal_pvariation
+from stablevar.path_sim import _check_stream_sizes, walk_chunks
+from stablevar.pvariation import (
+    _check_exponent, compensator, log_abs, log_pvariation, terminal_pvariation)
 from stablevar.stable_law import RandomStream, StableParams
 
 
@@ -34,15 +35,6 @@ def ks_threshold(m: int) -> float:
     return 1.52 * math.sqrt(2.0 / m)
 
 
-def _check_stream_sizes(n: int, m: int) -> None:
-    """Raise ValueError unless the statistic functions can draw m >= 0
-    streams of n >= 1 steps."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got n={n}")
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got m={m}")
-
-
 def levy_statistic_sample(
     params: StableParams,
     n: int,
@@ -58,8 +50,10 @@ def levy_statistic_sample(
     shifted_ps, where dY holds the increments of the callable perturbation
     t -> Y_t on the grid. walk_chunks takes each row whole: one fill, one log
     of |dL| for all of ps and one pairwise sum per exponent. Raises
-    ValueError, before drawing, unless n >= 1 and m >= 0."""
+    ValueError, before drawing, unless n >= 1, m >= 0 and 0 < p < inf for each p."""
     _check_stream_sizes(n, m)
+    for p in (*ps, *shifted_ps):
+        _check_exponent(p)
     if shifted_ps:
         t = np.arange(n + 1) / n
         dY = np.diff(np.fromiter(map(perturbation, t), float, n + 1))
@@ -125,8 +119,10 @@ def sde_statistic_pairs(
     walk_chunks walks the streams in chunks of path_sim.CHUNK_STEPS steps
     and adds each row's sums of |dL|^p and |dX|^p over a chunk to its
     totals. Over n > CHUNK_STEPS steps these sums of chunk sums differ from
-    one pairwise sum over the row only in the last bits."""
+    one pairwise sum over the row only in the last bits. Raises ValueError,
+    before drawing, unless n >= 1, m >= 0 and 0 < p < inf."""
     _check_stream_sizes(n, m)
+    _check_exponent(p)
     v_sde = np.zeros(m)
     v_levy = np.zeros(m)
 

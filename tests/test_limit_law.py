@@ -75,9 +75,10 @@ class TestLimitScale:
         hi = limit_scale(params, alpha * (1.0 + 1e-9)).scale_C
         assert hi == pytest.approx(lo, rel=1e-6)
 
-    def test_rejects_small_p(self):
-        with pytest.raises(ValueError):
-            limit_scale(StableParams(1.5, 1.0), 0.75)
+    @pytest.mark.parametrize("p", [0.75, math.nan, math.inf])
+    def test_rejects_small_p(self, p):
+        with pytest.raises(ValueError, match="limit_scale requires"):
+            limit_scale(StableParams(1.5, 1.0), p)
 
 
 class TestErfc:

@@ -11,8 +11,8 @@ from stablevar import path_sim
 from stablevar.cli import DRIFTS
 from stablevar.path_sim import (
     PathSample,
+    _grid_law,
     euler,
-    levy_increment_draws,
     sde_increments,
     simulate_levy,
 )
@@ -22,7 +22,7 @@ from stablevar.scenarios import (
     sde_statistic_pairs,
     two_sample_ks,
 )
-from stablevar.stable_law import RandomStream, StableParams, sample_stable
+from stablevar.stable_law import RandomStream, StableDraws, StableParams, sample_stable
 
 P075 = StableParams(0.75, 6.35)
 P2 = StableParams(2.0, 1.0)
@@ -83,15 +83,16 @@ class TestSimulateLevy:
 
 class TestLevyIncrements:
     def test_rows_are_streams(self):
-        # levy_increment_draws gives each stream the row one sample_stable
-        # call draws from the grid-increment law
+        # StableDraws of the grid-increment law give each stream the row one
+        # sample_stable call draws from it
         streams = [RandomStream(17, i) for i in range(3)]
-        draws = levy_increment_draws(P075, 40, streams, T=1.5)
+        law, k = _grid_law(P075, 40, 1.5)
+        draws = StableDraws(law, streams, k)
         inc = np.empty((3, draws.size))
         draws.fill(inc)
         assert inc.shape == (3, 60)
         one = np.empty((1, 60))
-        levy_increment_draws(P075, 40, streams[1:2], T=1.5).fill(one)
+        StableDraws(law, streams[1:2], k).fill(one)
         np.testing.assert_array_equal(inc[1], one[0])
         np.testing.assert_array_equal(inc, grid_rows(P075, 40, 17, 3, T=1.5))
 
@@ -265,14 +266,15 @@ class TestChunkedPaths:
         ((8, 4, 24, 12), 4),  # chunks of whole observation steps
     ])
     def test_resumed_chunks_equal_one_shot(self, params, widths, step):
-        # levy_increment_draws continues the sample_stable rows across chunks, and
+        # StableDraws continue the sample_stable rows across chunks, and
         # euler continues its paths from the state array it leaves behind,
         # also when it overwrites the chunk with its output
         n_fine, m, T = 32, 5, sum(widths) / 32
         streams = [RandomStream(8, i) for i in range(m)]
         dL_one = grid_rows(params, n_fine, 8, m, T)
         dX_one = euler(0.3, COS, dL_one, n_fine, n_fine // step)
-        draws = levy_increment_draws(params, n_fine, streams, T)
+        law, k = _grid_law(params, n_fine, T)
+        draws = StableDraws(law, streams, k)
         x, x_in_place = np.full(m, 0.3), np.full(m, 0.3)
         dL_parts, dX_parts, in_place_parts = [], [], []
         for width in widths:

@@ -7,6 +7,7 @@ import dataclasses
 import itertools
 import math
 import sys
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -87,12 +88,20 @@ class TestBlockPartition:
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_block_exception_reaches_caller(self, monkeypatch, workers):
+        # a sum that raises in a pool task stops the walk, and its exception
+        # reaches the caller
+        def failing_sum(*args):
+            assert threading.current_thread() is not threading.main_thread()
+            raise ValueError("a pool task failed")
+
         monkeypatch.setattr(path_sim, "CHUNK_VALUES", 2 * N)
         monkeypatch.setattr(path_sim, "_workers", lambda: workers)
-        with pytest.raises(ValueError, match="p must be positive"):
-            levy_statistic_sample(P15, 60, M, 3, (0.0,))
-        with pytest.raises(ValueError, match="p must be positive"):
-            sde_statistic_pairs(P075, COS, -1.0, 60, M, seed=4)
+        monkeypatch.setattr(scenarios, "log_pvariation", failing_sum)
+        monkeypatch.setattr(scenarios, "terminal_pvariation", failing_sum)
+        with pytest.raises(ValueError, match="a pool task failed"):
+            levy_statistic_sample(P15, 60, M, 3, (1.0,))
+        with pytest.raises(ValueError, match="a pool task failed"):
+            sde_statistic_pairs(P075, COS, 1.5, 60, M, seed=4)
 
 
 class TestBlockMemory:
@@ -106,13 +115,13 @@ class TestBlockMemory:
         # depend on the number of workers
         n = 15 * multiple
         calls = []
-        draw = path_sim.levy_increment_draws
+        draw = path_sim.StableDraws
 
-        def spy(params, n, streams, *args, **kwargs):
-            calls.append((n, [s.stream_index for s in streams]))
-            return draw(params, n, streams, *args, **kwargs)
+        def spy(law, streams, size):
+            calls.append((size, [s.stream_index for s in streams]))
+            return draw(law, streams, size)
 
-        monkeypatch.setattr(path_sim, "levy_increment_draws", spy)
+        monkeypatch.setattr(path_sim, "StableDraws", spy)
         monkeypatch.setattr(path_sim, "_workers", lambda: workers)
         # a stream wider than the buffer is a block of its own
         for held in (rows_worth * n, n - 1):
@@ -125,8 +134,8 @@ class TestBlockMemory:
                 statistic()
                 # each stream is drawn exactly once
                 assert sorted(i for _, idx in calls for i in idx) == list(range(M))
-                for n_drawn, idx in calls:
-                    assert n_drawn == n
+                for size, idx in calls:
+                    assert size == n
                     assert len(idx) <= max(1, held // n)
 
 
@@ -135,13 +144,13 @@ class TestBlockMemory:
         # a block makes the generators of at most BLOCK_STREAMS of them
         m, cap = 2 * path_sim.BLOCK_STREAMS + 1, path_sim.BLOCK_STREAMS
         blocks = []
-        draw = path_sim.levy_increment_draws
+        draw = path_sim.StableDraws
 
-        def spy(params, n, streams, *args, **kwargs):
+        def spy(law, streams, size):
             blocks.append(len(streams))
-            return draw(params, n, streams, *args, **kwargs)
+            return draw(law, streams, size)
 
-        monkeypatch.setattr(path_sim, "levy_increment_draws", spy)
+        monkeypatch.setattr(path_sim, "StableDraws", spy)
         for statistic in (
             lambda: sde_statistic_pairs(P075, COS, 1.5, 1, m, seed=4),
             lambda: levy_statistic_sample(P15, 1, m, 3, (1.0,)),
@@ -150,6 +159,23 @@ class TestBlockMemory:
             blocks.clear()
             statistic()
             assert blocks == [cap, cap, 1]
+
+    def test_walk_takes_the_grid_law_once(self, monkeypatch):
+        # a walk of three blocks, with a drift or without, takes the law of
+        # its grid increments once, not once per block
+        m, laws = 2 * path_sim.BLOCK_STREAMS + 1, []
+        grid_law = path_sim._grid_law
+
+        def spy(*args):
+            laws.append(args)
+            return grid_law(*args)
+
+        monkeypatch.setattr(path_sim, "_grid_law", spy)
+        for walk in (lambda: path_sim.walk_chunks(P075, 1, m, 4, drift=COS, fine=2),
+                     lambda: path_sim.walk_chunks(P15, 1, m, 3, lambda *args: None)):
+            laws.clear()
+            walk()
+            assert len(laws) == 1
 
 
 class TestTheoremSample:
@@ -190,13 +216,13 @@ class TestTheoremSample:
 
     def test_three_scenarios_draw_each_stream_once(self, monkeypatch):
         drawn = []
-        draw = path_sim.levy_increment_draws
+        draw = path_sim.StableDraws
 
-        def spy(params, n, streams, *args, **kwargs):
+        def spy(law, streams, size):
             drawn.extend(s.stream_index for s in streams)
-            return draw(params, n, streams, *args, **kwargs)
+            return draw(law, streams, size)
 
-        monkeypatch.setattr(path_sim, "levy_increment_draws", spy)
+        monkeypatch.setattr(path_sim, "StableDraws", spy)
         for name in ("thm1-sub", "thm1-comp", "thm3-lipschitz"):
             run_scenario(name, seed=3, m=M, n=N)
         # the shared sample's streams 0 .. M - 1, and nothing else
@@ -344,7 +370,7 @@ def record_chunks(monkeypatch, m, n):
         return pool(max_workers=max_workers)
 
     monkeypatch.setattr(path_sim, "ThreadPoolExecutor", spy)
-    monkeypatch.setattr(path_sim, "levy_increment_draws", lambda *args: NoDraws())
+    monkeypatch.setattr(path_sim, "StableDraws", lambda law, streams, size: NoDraws())
     monkeypatch.setattr(path_sim, "euler", lambda x, drift, dL, *args, **kwargs: chunks.append(dL.shape))
     monkeypatch.setattr(scenarios, "terminal_pvariation", lambda dL, p: np.zeros(len(dL)))
     sde_statistic_pairs(P075, COS, 1.5, n, m, seed=4)
@@ -442,6 +468,10 @@ class TestLevyRows:
         assert rows == []
 
 
+def no_draws(*args, **kwargs):
+    raise AssertionError("a stream was drawn")
+
+
 class TestRunScenarioSizes:
     @pytest.mark.parametrize("m, n", [(0, 100), (4, 100), (-5, 100), (5, 0)])
     def test_degenerate_sizes_rejected_before_drawing(self, monkeypatch, m, n):
@@ -457,9 +487,6 @@ class TestRunScenarioSizes:
         (scenarios.MAX_PATHS + 1, 10), (10**12, 10), (5, scenarios.MAX_STEPS + 1), (5, 10**14),
     ])
     def test_oversized_sizes_rejected_before_drawing(self, monkeypatch, m, n):
-        def no_draws(*args, **kwargs):
-            raise AssertionError("a stream was drawn")
-
         monkeypatch.setattr(scenarios, "levy_statistic_sample", no_draws)
         monkeypatch.setattr(scenarios, "sde_statistic_pairs", no_draws)
         for name in scenarios.SCENARIOS:
@@ -477,20 +504,31 @@ class TestRunScenarioSizes:
 
 
 class TestStatisticSizes:
-    @pytest.mark.parametrize("n, m, match", [
-        (0, 5, "n must be >= 1"), (-2, 5, "n must be >= 1"), (0, -1, "n must be >= 1"),
-        (60, -1, "m must be >= 0"),
+    @pytest.mark.parametrize("n, m, fine, match", [
+        (0, 5, 1, "n must be >= 1"), (-2, 5, 1, "n must be >= 1"), (0, -1, 1, "n must be >= 1"),
+        (60, -1, 1, "m must be >= 0"), (10, -2, 1, "m must be >= 0"), (5, -3, 1, "m must be >= 0"),
+        (10, 3, 0, "fine must be >= 1"), (-5, 3, -1, "n must be >= 1"),
     ])
-    def test_bad_sizes_rejected_before_drawing(self, monkeypatch, n, m, match):
-        def no_draws(*args, **kwargs):
-            raise AssertionError("a stream was drawn")
-
-        monkeypatch.setattr(path_sim, "levy_increment_draws", no_draws)
+    def test_bad_sizes_rejected_before_drawing(self, monkeypatch, n, m, fine, match):
+        monkeypatch.setattr(path_sim, "StableDraws", no_draws)
         monkeypatch.setattr(path_sim, "_map_rows", no_draws)
-        with pytest.raises(ValueError, match=match):
-            levy_statistic_sample(P15, n, m, 3, (), (1.0,), math.sin)
-        with pytest.raises(ValueError, match=match):
-            sde_statistic_pairs(P075, COS, 1.5, n, m, seed=4)
+        walks = [lambda: path_sim.sde_increments(P075, COS, n, m, 0, fine=fine),
+                 lambda: path_sim.walk_chunks(P075, n, m, 0, lambda *args: None, fine=fine)]
+        if fine == 1:
+            walks += [lambda: levy_statistic_sample(P15, n, m, 3, (), (1.0,), math.sin),
+                      lambda: sde_statistic_pairs(P075, COS, 1.5, n, m, seed=4)]
+        for walk in walks:
+            with pytest.raises(ValueError, match=match):
+                walk()
+
+    @pytest.mark.parametrize("p", [math.nan, 0.0, -1.0, math.inf])
+    def test_bad_exponents_rejected_before_drawing(self, monkeypatch, p):
+        monkeypatch.setattr(path_sim, "StableDraws", no_draws)
+        for ps, shifted_ps in [((p,), ()), ((), (p,)), ((1.0, p), (1.5,)), ((1.0,), (p,))]:
+            with pytest.raises(ValueError, match="p must be positive and finite"):
+                levy_statistic_sample(P15, 60, M, 3, ps, shifted_ps, math.sin)
+        with pytest.raises(ValueError, match="p must be positive and finite"):
+            sde_statistic_pairs(P075, COS, p, 60, M, seed=4)
 
     def test_no_streams_give_empty_samples(self):
         out = levy_statistic_sample(P15, 60, 0, 3, (1.0,)) - 60 * compensator(P15, 1.0, 60)
