@@ -179,7 +179,7 @@ so each Euler step x + 0.0 h + dL adds dL exactly, as the Levy path does."""
 MAX_FINE_VALUES = 50_000_000
 """Most fine-grid increments simulate draws, m floor(fine multiplier n T).
 A run holds the m floor(n T) observed increments, this many at fine
-multiplier 1, a chunk buffer (8 MB) and one block's generators (0.84 MB);
+multiplier 1, a chunk buffer (8 MB) and one block's generators (1.6 MB);
 writing adds one WRITE_ROWS chunk of text. Per observed increment the traced
 peak was 9.2-9.7 bytes and max RSS grew by 11.4-14.2, at fine multipliers 1
 and 16 (m = 100-200, n = 2 x 10^4), so a run peaks under 1 GB."""

@@ -121,8 +121,9 @@ CHUNK_VALUES = 1000 * 1000
 call walks, shared by all threads, whatever their number."""
 
 BLOCK_STREAMS = 1000
-"""The most streams in one block of walk_chunks: their Philox generators take
-about 0.84 kB each, 0.84 GB for the 10^6 streams CHUNK_VALUES fits at n = 1.
+"""The most streams in one block of walk_chunks: a stream's two Philox
+generators take about 1.6 kB, 1.6 GB for the 10^6 streams CHUNK_VALUES fits
+at n = 1.
 The benchmark's blocks stay as they were: 1000 streams for cor-sde and 100
 for the Theorem sample at m = 2000, n = 10^4; all 200 for the AC-1 simulate."""
 

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 
 ALPHA_ONE_TOL = 1e-12
@@ -45,12 +46,28 @@ class StableParams:
             raise ValueError(f"beta must be in [-1, 1], got {self.beta}")
 
 
+class _PhiloxKey(ISeedSequence):
+    """A seed sequence whose state is the Philox key (seed, index):
+    Philox(key=...) would first seed a SeedSequence from OS entropy, only to
+    replace it. Each Philox keeps its seed sequence, so this one holds two
+    ints and makes the key array when asked: a kept array per generator
+    raised the peak RSS of four verify scenarios by 8 MB."""
+
+    def __init__(self, seed, index):
+        self.seed, self.index = seed, index
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.array([self.seed, self.index], dtype=np.uint64)
+
+
 @dataclass(frozen=True)
 class RandomStream:
     """Immutable token identifying a reproducible random stream.
 
     Equal (seed, stream_index) pairs replay the same draws; distinct
-    stream_index values give statistically independent Philox streams.
+    stream_index values give statistically independent Philox streams. The
+    Philox key is (seed mod 2^64, stream_index), 0 <= stream_index < 2^64,
+    so RandomStream(-1) draws RandomStream(2**64 - 1)'s numbers.
     """
 
     seed: int
@@ -59,14 +76,13 @@ class RandomStream:
     def __post_init__(self):
         if not all(hasattr(type(v), "__index__") for v in (self.seed, self.stream_index)):
             raise ValueError(f"seed and stream_index must be integers: {self.seed!r}, {self.stream_index!r}")
-        if self.stream_index < 0:
-            raise ValueError("stream_index must be non-negative")
+        if not 0 <= self.stream_index < 2**64:
+            raise ValueError(f"stream_index must be in [0, 2^64), got {self.stream_index}")
 
     def generator(self, skip: int = 0) -> np.random.Generator:
         """Fresh counter-based generator positioned after the stream's first
         skip 64-bit outputs, as if skip uniform doubles had been drawn."""
-        key = np.array([int(self.seed) % 2**64, self.stream_index], dtype=np.uint64)
-        bits = np.random.Philox(key=key)
+        bits = np.random.Philox(_PhiloxKey(int(self.seed) % 2**64, self.stream_index))
         # Philox makes four outputs per counter step
         bits.advance(skip // 4)
         bits.random_raw(skip % 4)
@@ -99,7 +115,7 @@ def _cms_standard(alpha: float, beta: float, v: np.ndarray, w: np.ndarray, t: np
     # a = alpha (v + b); a is formed twice rather than held in a fourth buffer.
     # At alpha = 2, where tan(pi) rounds to -1.2e-16, zeta is 0 so that beta
     # has no effect: the draw is 2 sin(v) sqrt(w), N(0, 2) as in Box-Muller
-    zeta = 0.0 if alpha == 2.0 else beta * math.tan(math.pi * alpha / 2.0)
+    zeta = _zeta(alpha, beta)
     b = math.atan(zeta) / alpha
     s = (1.0 + zeta * zeta) ** (1.0 / (2.0 * alpha))
     np.add(v, b, out=t)
@@ -123,20 +139,16 @@ class StableDraws:
     row per stream: fills of widths k_1, k_2, ... that add up to size give
     row i exactly the draws of sample_stable(params, streams[i], size).
 
-    Each stream has its own generators, so threads may fill disjoint rows at
-    the same time. CMS draws take size uniforms, then size exponentials, from
-    the stream. A stream whose first fill takes all size draws continues one
-    generator from its uniforms to its exponentials, as a one-shot draw
-    does; otherwise the exponentials come from a second generator that
-    starts where the uniforms end."""
+    CMS draws take size uniforms, then size exponentials, from the stream.
+    Each stream has two generators of its own, made here: one for its
+    uniforms, and one for its exponentials that starts where the uniforms
+    end. So threads may fill disjoint rows at the same time."""
 
     def __init__(self, params: StableParams, streams: list[RandomStream], size: int):
         self.params = params
         self.size = size
-        self._streams = streams
         self._drawn = np.zeros(len(streams), dtype=np.int64)
-        self._generators = [s.generator() for s in streams]
-        self._exponentials: list[np.random.Generator | None] = [None] * len(streams)
+        self._generators = [(s.generator(), s.generator(skip=size)) for s in streams]
 
     def fill(self, out: np.ndarray, lo: int = 0) -> None:
         """Write the next out.shape[1] draws of streams lo .. lo + len(out) - 1
@@ -151,13 +163,9 @@ class StableDraws:
             raise ValueError(f"{k} more draws of streams {lo} .. {lo + rows - 1} exceed size={self.size}")
         drawn += k
         w, t = np.empty((2, rows, k))
-        for i, v_row, w_row in zip(range(lo, lo + rows), out, w):
-            uniform = self._generators[i]
+        for (uniform, exponential), v_row, w_row in zip(self._generators[lo:lo + rows], out, w):
             uniform.random(out=v_row)
-            if self._exponentials[i] is None:
-                self._exponentials[i] = (
-                    uniform if k == self.size else self._streams[i].generator(skip=self.size))
-            self._exponentials[i].standard_exponential(out=w_row)
+            exponential.standard_exponential(out=w_row)
         out -= 0.5
         out *= math.pi
         _cms_standard(a, beta, out, w, t)
@@ -214,13 +222,12 @@ def _loggamma(z) -> np.ndarray:
     return (w - 0.5) * np.log(w) - w + 0.5 * math.log(2.0 * math.pi) + series / w - np.log(shift)
 
 
-def _zeta(params: StableParams) -> float:
+def _zeta(alpha: float, beta: float) -> float:
     """zeta = beta tan(pi alpha / 2), 0 at alpha = 2. At alpha = 1, beta != 0
     zeta is infinite and there are no closed-form moments: ValueError."""
-    a, beta = params.alpha, params.beta
-    if abs(a - 1.0) < ALPHA_ONE_TOL and beta != 0.0:
+    if abs(alpha - 1.0) < ALPHA_ONE_TOL and beta != 0.0:
         raise ValueError(f"no closed-form moments at alpha = 1, beta != 0 (got beta={beta})")
-    return 0.0 if a == 2.0 else beta * math.tan(math.pi * a / 2.0)
+    return 0.0 if alpha == 2.0 else beta * math.tan(math.pi * alpha / 2.0)
 
 
 def _log_cos(w: np.ndarray) -> np.ndarray:
@@ -245,7 +252,7 @@ def _log_abs_moment(params: StableParams, q) -> np.ndarray:
     have poles at q = 2, 4, ...; the first line alone is N(0, 2C^2) for every
     Re q > -1. At alpha = 1, beta != 0 zeta is infinite: ValueError."""
     a, c = params.alpha, params.scale_C
-    zeta = _zeta(params)
+    zeta = _zeta(a, params.beta)
     q = np.asarray(q, dtype=complex)
     log_m = q * math.log(2.0 * c) + _loggamma((1.0 + q) / 2.0) - 0.5 * math.log(math.pi)
     if a == 2.0:
@@ -304,7 +311,7 @@ def sin_moment(params: StableParams, n: int) -> float:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     a, log_n = params.alpha, math.log(n)
-    t_max = 45.0 / (math.pi / 2.0 - abs(math.atan(_zeta(params)))) + 5.0
+    t_max = 45.0 / (math.pi / 2.0 - abs(math.atan(_zeta(a, params.beta)))) + 5.0
     nodes = math.ceil(t_max / SIN_STEP) + 1
     if nodes > SIN_MAX_NODES:
         raise ValueError(

@@ -46,8 +46,11 @@ class TestParams:
             StableParams(0.75, scale)
 
     def test_stream_validation(self):
-        with pytest.raises(ValueError):
-            RandomStream(1, -1)
+        # the index is the second word of a 64-bit Philox key
+        for index in (-1, 2**64):
+            with pytest.raises(ValueError, match="stream_index must be in"):
+                RandomStream(1, index)
+        assert 0.0 <= RandomStream(1, 2**64 - 1).generator().random() < 1.0
         # RandomStream(1.5) would draw RandomStream(1)'s numbers, and
         # (1, 2.7) those of (1, 2)
         for seed, index in ((1.5, 0), (1, 2.7), (np.float64(1.0), 0)):
@@ -55,6 +58,19 @@ class TestParams:
                 RandomStream(seed, index)
         assert RandomStream(np.int64(3), np.uint32(2)).generator().random() == \
             RandomStream(3, 2).generator().random()
+
+    # numpy integers, negative seeds and seeds of 2^63 or more (seeds -1 and
+    # 2^64 - 1 share a key), and a skip of each residue mod 4 (Philox makes
+    # four outputs per counter step)
+    @pytest.mark.parametrize("seed", [0, 12, np.int64(-3), np.uint64(2**64 - 5), -1, 2**64 - 1, 2**63,
+                                      2**64 + 9])
+    @pytest.mark.parametrize("index, skip", [(0, 0), (5, 1), (7, 6), (2**64 - 1, 10003)])
+    def test_stream_is_numpy_philox_key(self, seed, index, skip):
+        key = np.array([int(seed) % 2**64, index], dtype=np.uint64)
+        reference = np.random.Generator(np.random.Philox(key=key))
+        reference.random(skip)
+        np.testing.assert_array_equal(RandomStream(seed, index).generator(skip).random(9),
+                                      reference.random(9))
 
 
 class TestSampling:
