@@ -66,43 +66,26 @@ def _check_stream_sizes(n: int, m: int, fine: int = 1) -> None:
             raise ValueError(f"{name} must be >= {least}, got {name}={size}")
 
 
-def euler(
-    x0: float | np.ndarray,
-    drift: Callable[[np.ndarray], np.ndarray | float],
-    dL: np.ndarray,
-    n_fine: int,
-    n_obs: int,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Explicit Euler for X_t = x0 + int f(X_s) ds + L_t, f the vectorized
+def euler(x: np.ndarray, drift: Callable[[np.ndarray], np.ndarray | float],
+          dL: np.ndarray, h: float, step: int, out: np.ndarray) -> None:
+    """Explicit Euler for X_t = X_0 + int f(X_s) ds + L_t, f the vectorized
     function drift, one path per row of the fine-grid increments dL (spacing
-    1/n_fine). Returns the increments X_{j/n_obs} - X_{(j-1)/n_obs} on the
-    observation grid, (m, floor(n_obs*T)) for dL over [0, T], written into
-    out when given; out may be dL itself, as each step reads its increments
-    before any is overwritten. x0 is a float, the start of every row, or an
-    (m,) array of per-row states, left holding each row's last value, so a
-    call with it and the next increments, which must span whole observation
-    steps, continues the paths bit for bit."""
-    if n_obs < 1:
-        raise ValueError("n_obs must be >= 1")
-    if n_fine % n_obs != 0:
-        raise ValueError(f"n_fine={n_fine} is not a multiple of n_obs={n_obs}")
-    m, k_max = dL.shape
-    h = 1.0 / n_fine
-    step = n_fine // n_obs
-    if isinstance(x0, np.ndarray) and k_max % step != 0:
+    h): advances the (m,) state x in place to each row's last value and
+    writes the increment over each run of `step` fine steps into out,
+    (m, k // step) for k steps. out may be dL's leading columns, as each
+    step reads its increments before any is overwritten. k must be a
+    multiple of step, so a call with x and the next increments continues
+    the paths bit for bit."""
+    k_max = dL.shape[1]
+    if k_max % step != 0:
         raise ValueError(f"{k_max} fine steps do not continue a path: not a multiple of {step}")
-    if out is None:
-        out = np.empty((m, k_max // step))
-    x = seen = np.full(m, x0, dtype=float)
+    seen = x.copy()
     for k in range(k_max):
-        x = x + drift(x) * h + dL[:, k]
+        x += drift(x) * h
+        x += dL[:, k]
         if (k + 1) % step == 0:
             np.subtract(x, seen, out=out[:, k // step])
-            seen = x
-    if isinstance(x0, np.ndarray):
-        x0[...] = x
-    return out
+            seen[...] = x
 
 
 def simulate_levy(params: StableParams, n: int, T: float, stream: RandomStream) -> PathSample:
@@ -124,8 +107,8 @@ BLOCK_STREAMS = 1000
 """The most streams in one block of walk_chunks: a stream's two Philox
 generators take about 1.6 kB, 1.6 GB for the 10^6 streams CHUNK_VALUES fits
 at n = 1.
-The benchmark's blocks stay as they were: 1000 streams for cor-sde and 100
-for the Theorem sample at m = 2000, n = 10^4; all 200 for the AC-1 simulate."""
+At the benchmark's sizes a block holds 1000 streams for cor-sde and 100 for
+the Theorem sample (m = 2000, n = 10^4), and all 200 for the AC-1 simulate."""
 
 TASK_VALUES = 64 * 1000
 """Increments that one pool task of walk_chunks draws and hands to the sums:
@@ -185,15 +168,16 @@ def walk_chunks(params, n, m, seed, draw_sums=None, drift=None, euler_sums=None,
     rows = max(1, min(m, BLOCK_STREAMS, CHUNK_VALUES // (steps * fine)))
     task_rows = max(1, TASK_VALUES // (steps * fine))
     buf = np.empty(rows * steps * fine)
+    h = 1.0 / (fine * n)
     with ThreadPoolExecutor(max_workers=_workers()) as pool:
         for lo in range(0, m, rows):
             block = min(rows, m - lo)
             draws = StableDraws(law, [RandomStream(seed, lo + i) for i in range(block)], k_fine)
-            x = np.full(block, x0, dtype=float)
+            if drift is not None:
+                x = np.full(block, x0, dtype=float)
             for j in range(0, k_obs, steps):
                 w = min(steps, k_obs - j)
                 chunk = buf[:block * w * fine].reshape(block, -1)
-                dX = chunk[:, :w] if out is None else out[lo:lo + block, j:j + w]
 
                 def draw(a, b):
                     draws.fill(chunk[a:b], a)
@@ -202,7 +186,8 @@ def walk_chunks(params, n, m, seed, draw_sums=None, drift=None, euler_sums=None,
 
                 _map_rows(pool, block, task_rows, draw)
                 if drift is not None:
-                    euler(x, drift, chunk, fine * n, n, out=dX)
+                    dX = chunk[:, :w] if out is None else out[lo:lo + block, j:j + w]
+                    euler(x, drift, chunk, h, fine, dX)
                     if euler_sums is not None:
                         _map_rows(pool, block, task_rows,
                                   lambda a, b: euler_sums(dX[a:b], lo + a, lo + b))

@@ -158,8 +158,8 @@ rows or pairs, the reference draws and the KS test's sorted and searched
 copies. Beside them it holds one chunk buffer, 8 MB at most, and the
 generators of one block of at most path_sim.BLOCK_STREAMS streams, about
 1.6 MB. At n = 1, max RSS grew by 112 bytes a path for cor-sde and 128 for
-thm1-sub from m = 10^5 to 3 x 10^5 (800 before blocks were capped), so a
-run at this bound holds about 0.25 GB."""
+thm1-sub from m = 10^5 to 3 x 10^5, so a run at this bound holds about
+0.25 GB."""
 
 MAX_STEPS = 25_000_000
 """The most steps per path, about 0.9 GB here. At n > path_sim.CHUNK_VALUES the

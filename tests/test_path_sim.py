@@ -40,6 +40,15 @@ def grid_rows(params, n, seed, m, T=1.0):
                      for i in range(m)])
 
 
+def one_shot(x0, drift, dL, n_fine, step):
+    """One euler call from X_0 = x0, with a fresh state and a fresh output,
+    over the whole observation steps (of `step` fine steps) of dL."""
+    m, k = dL.shape[0], dL.shape[1] // step
+    out = np.empty((m, k))
+    euler(np.full(m, float(x0)), drift, dL[:, :k * step], 1.0 / n_fine, step, out)
+    return out
+
+
 class TestSimulateLevy:
     def test_grid_shape(self):
         path = simulate_levy(P075, 4, 1.0, RandomStream(0))
@@ -133,10 +142,6 @@ class TestSimulateSde:
         levy = simulate_levy(P075, 1600, 1.0, stream).values[::16]
         np.testing.assert_array_equal(sde, np.diff(levy))
 
-    def test_rejects_incompatible_grids(self):
-        with pytest.raises(ValueError):
-            euler(0.0, ZERO, grid_rows(P075, 150, 6, 1), 150, 100)
-
     def test_bounded_drift_pointwise_bound(self):
         # |f| <= 1 for f = cos implies |X_t - (x0 + L_t)| <= t on the grid,
         # X_t being x0 plus the partial sums of the increments
@@ -146,12 +151,15 @@ class TestSimulateSde:
         t = np.arange(1, 201) / 100
         assert np.all(np.abs((1.0 + np.cumsum(sde)) - (1.0 + levy)) <= t + 1e-12)
 
-    def test_batch_matches_scalar_path(self):
-        # row i is stream i's path, however many streams are drawn with it
-        batch = sde_increments(P075, COS, 100, 3, 8, fine=4, x0=0.5)
-        for i in range(3):
-            single = sde_increments(P075, COS, 100, i + 1, 8, fine=4, x0=0.5)[i]
-            np.testing.assert_allclose(batch[i], single, rtol=1e-12, atol=1e-12)
+    @pytest.mark.parametrize("n, fine, m, T", [(100, 4, 3, 1.0), (7, 5, 9, 1.5)])
+    def test_batch_matches_scalar_path(self, n, fine, m, T):
+        # row i is stream i's path bit for bit, however many streams are
+        # drawn with it; at n = 7, fine 5, T = 1.5 the horizon leaves a
+        # trailing partial observation step
+        batch = sde_increments(P075, COS, n, m, 8, fine=fine, T=T, x0=0.5)
+        for i in range(m):
+            single = sde_increments(P075, COS, n, i + 1, 8, fine=fine, T=T, x0=0.5)[i]
+            np.testing.assert_array_equal(batch[i], single)
 
     def test_refinement_consistency_in_law(self):
         # doubling the fine grid leaves the law of the terminal value
@@ -180,7 +188,7 @@ class TestSdeIncrements:
         # and at CHUNK_STEPS = 1000, n = 1000, fine 16 the last of the
         # 62-step chunks holds 8 steps
         monkeypatch.setattr(path_sim, "CHUNK_STEPS", width)
-        expected = euler(x0, COS, grid_rows(params, fine * n, 9, m, T), fine * n, n)
+        expected = one_shot(x0, COS, grid_rows(params, fine * n, 9, m, T), fine * n, fine)
         np.testing.assert_array_equal(
             sde_increments(params, COS, n, m, 9, fine=fine, T=T, x0=x0), expected)
 
@@ -193,7 +201,7 @@ class TestSdeIncrements:
         monkeypatch.setattr(path_sim, "CHUNK_VALUES", 5 * 4 * fine)
         monkeypatch.setattr(path_sim, "TASK_VALUES", 2 * 4 * fine)
         monkeypatch.setattr(path_sim, "CHUNK_STEPS", 4 * fine)
-        expected = euler(0.2, COS, grid_rows(P075, fine * n, 9, m, T), fine * n, n)
+        expected = one_shot(0.2, COS, grid_rows(P075, fine * n, 9, m, T), fine * n, fine)
         got = sde_increments(P075, COS, n, m, 9, fine=fine, T=T, x0=0.2)
         np.testing.assert_array_equal(got, expected)
 
@@ -243,18 +251,30 @@ class TestEuler:
         st.integers(0, 4),
         st.integers(1, 12),
         st.integers(1, 4),
-        st.floats(0.05, 3.0).filter(lambda T: T != int(T)),
+        st.lists(st.integers(0, 12), min_size=1, max_size=4),
         st.integers(0, 2**32 - 1),
     )
-    def test_increments_are_differences_of_levels(self, drift, x0, m, n_obs, step, T, seed):
+    def test_increments_are_differences_of_levels(self, drift, x0, m, n_obs, step, runs, seed):
         # each observed increment subtracts the same two levels as np.diff,
-        # so the two agree bit for bit, a trailing partial step included
+        # so the two agree bit for bit: over runs of whole observation steps
+        # stepped by successive calls through one state, and again with each
+        # run's output written over its own increments
         n_fine = n_obs * step
-        k_max = int(math.floor(n_fine * T))
-        dL = np.random.default_rng(seed).standard_cauchy((m, k_max)) / n_fine
-        got = euler(x0, drift, dL, n_fine, n_obs)
-        assert got.shape == (m, k_max // step)
-        np.testing.assert_array_equal(got, np.diff(reference_levels(x0, drift, dL, n_fine, n_obs)))
+        edges = step * np.cumsum([0] + runs)
+        dL = np.random.default_rng(seed).standard_cauchy((m, edges[-1])) / n_fine
+        levels = reference_levels(x0, drift, dL, n_fine, n_obs)
+        x, x_in_place = np.full(m, x0), np.full(m, x0)
+        parts, in_place_parts = [], []
+        for a, b in zip(edges[:-1], edges[1:]):
+            parts.append(np.empty((m, (b - a) // step)))
+            euler(x, drift, dL[:, a:b], 1.0 / n_fine, step, parts[-1])
+            run = dL[:, a:b].copy()
+            in_place_parts.append(run[:, :(b - a) // step])
+            euler(x_in_place, drift, run, 1.0 / n_fine, step, in_place_parts[-1])
+        np.testing.assert_array_equal(np.hstack(parts), np.diff(levels))
+        np.testing.assert_array_equal(np.hstack(in_place_parts), np.diff(levels))
+        np.testing.assert_array_equal(x, levels[:, -1])
+        np.testing.assert_array_equal(x_in_place, levels[:, -1])
 
 
 class TestChunkedPaths:
@@ -272,7 +292,7 @@ class TestChunkedPaths:
         n_fine, m, T = 32, 5, sum(widths) / 32
         streams = [RandomStream(8, i) for i in range(m)]
         dL_one = grid_rows(params, n_fine, 8, m, T)
-        dX_one = euler(0.3, COS, dL_one, n_fine, n_fine // step)
+        dX_one = one_shot(0.3, COS, dL_one, n_fine, step)
         law, k = _grid_law(params, n_fine, T)
         draws = StableDraws(law, streams, k)
         x, x_in_place = np.full(m, 0.3), np.full(m, 0.3)
@@ -282,20 +302,21 @@ class TestChunkedPaths:
             draws.fill(dL[:2])
             draws.fill(dL[2:], lo=2)
             dL_parts.append(dL.copy())
-            dX_parts.append(euler(x, COS, dL, n_fine, n_fine // step))
-            in_place_parts.append(euler(x_in_place, COS, dL, n_fine, n_fine // step, out=dL))
+            dX_parts.append(np.empty((m, width // step)))
+            euler(x, COS, dL, 1.0 / n_fine, step, dX_parts[-1])
+            in_place_parts.append(dL[:, :width // step])
+            euler(x_in_place, COS, dL, 1.0 / n_fine, step, in_place_parts[-1])
         np.testing.assert_array_equal(np.hstack(dL_parts), dL_one)
         np.testing.assert_array_equal(np.hstack(dX_parts), dX_one)
-        if step == 1:
-            np.testing.assert_array_equal(np.hstack(in_place_parts), dX_one)
+        np.testing.assert_array_equal(np.hstack(in_place_parts), dX_one)
         np.testing.assert_array_equal(x, x_in_place)
 
     def test_state_is_the_last_level(self):
         # per-row starts, and the state left behind is each row's last level
         dL = np.random.default_rng(4).standard_cauchy((3, 12)) / 12
         starts = [0.0, 1.0, -2.0]
-        x = np.array(starts)
-        dX = euler(x, COS, dL, 12, 3)
+        x, dX = np.array(starts), np.empty((3, 3))
+        euler(x, COS, dL, 1.0 / 12, 4, dX)
         for i, start in enumerate(starts):
             levels = reference_levels(start, COS, dL[i:i + 1], 12, 3)[0]
             np.testing.assert_array_equal(dX[i], np.diff(levels))
@@ -303,7 +324,7 @@ class TestChunkedPaths:
 
     def test_state_rejects_partial_observation_step(self):
         with pytest.raises(ValueError, match="not a multiple of 4"):
-            euler(np.zeros(2), COS, np.zeros((2, 6)), 8, 2)
+            euler(np.zeros(2), COS, np.zeros((2, 6)), 1.0 / 8, 4, np.empty((2, 1)))
 
 
 class TestAddPerturbation:
