@@ -19,6 +19,7 @@ import numpy as np
 
 from stablevar.estimator import EstimationError, GridConfig, block_split, estimate, ks_surface
 from stablevar.path_sim import sde_increments
+from stablevar.pvariation import log_abs
 from stablevar.stable_law import StableParams
 from stablevar.scenarios import SCENARIOS, check_sizes, run_scenario
 
@@ -253,10 +254,12 @@ def cmd_estimate(args) -> int:
             **{name: getattr(args, name) for name in GRID_WINDOW}, refine=not args.no_refine
         )
         blocks = block_split(increments, n, demean=args.demean)
-        result = estimate(blocks, cfg)
+        # one log|blocks| serves the surface, the refine and --fixed-c
+        log_blocks = log_abs(blocks)
+        result = estimate(blocks, cfg, log_blocks)
         fixed = None
         if args.fixed_c is not None:
-            fixed = ks_surface(blocks, [args.fixed_c], result.surface.p_grid)
+            fixed = ks_surface(blocks, [args.fixed_c], result.surface.p_grid, log_blocks)
     except (EstimationError, ValueError) as exc:
         print(f"estimation aborted: {exc}", file=sys.stderr)
         return EXIT_GRID

@@ -124,15 +124,16 @@ class KSSurface:
     d_values: np.ndarray
 
 
-def ks_surface(blocks: np.ndarray, c_grid, p_grid) -> KSSurface:
+def ks_surface(blocks: np.ndarray, c_grid, p_grid, log_blocks: np.ndarray | None = None) -> KSSurface:
     """Evaluate D_n(C, p) of the (m, n) blocks on the full grid: log|blocks|
-    is taken once, then per p one ks_distance call walks the C axis in chunks
-    of KS_CHUNK_VALUES pairs."""
+    is taken once, unless the caller passes it as log_blocks, then per p one
+    ks_distance call walks the C axis in chunks of KS_CHUNK_VALUES pairs."""
     c_grid = np.asarray(c_grid, dtype=float)
     p_grid = np.asarray(p_grid, dtype=float)
     if len(c_grid) == 0 or len(p_grid) == 0:
         raise ValueError("grids must be non-empty")
-    log_blocks = log_abs(blocks)
+    if log_blocks is None:
+        log_blocks = log_abs(blocks)
     d = np.column_stack([_coupled_distance(log_blocks, c_grid, p) for p in p_grid])
     bad = np.argwhere(~np.isfinite(d))
     if len(bad) > 0:
@@ -285,12 +286,14 @@ class EstimationResult:
     boundary: bool
 
 
-def estimate(blocks: np.ndarray, config: GridConfig | None = None) -> EstimationResult:
+def estimate(blocks: np.ndarray, config: GridConfig | None = None,
+             log_blocks: np.ndarray | None = None) -> EstimationResult:
     """Coarse grid search over (C, p) for the (m, n) array of block
     increments, followed by Nelder-Mead refinement from the best grid cell.
     Returns alpha* = p*/2 and C* along with the surface, the per-p best-C
     slice and the fit's summary: the grid argmin, its ties, the local minima
-    and the boundary flag."""
+    and the boundary flag. log|blocks| is taken once for the surface and the
+    refine, unless the caller passes it as log_blocks."""
     if config is None:
         config = GridConfig()
     if np.ndim(blocks) != 2:
@@ -303,7 +306,9 @@ def estimate(blocks: np.ndarray, config: GridConfig | None = None) -> Estimation
         raise EstimationError("the series holds a NaN or infinite increment")
     if not np.any(blocks):
         raise EstimationError("every block p-variation is zero (constant series)")
-    surf = ks_surface(blocks, config.c_grid(), config.p_grid())
+    if log_blocks is None:
+        log_blocks = log_abs(blocks)
+    surf = ks_surface(blocks, config.c_grid(), config.p_grid(), log_blocks)
     grid_argmin, tie_count, local_minima, boundary = _grid_summary(
         surf.c_grid, surf.p_grid, surf.d_values)
     c_star, p_star, d_min = grid_argmin
@@ -315,8 +320,6 @@ def estimate(blocks: np.ndarray, config: GridConfig | None = None) -> Estimation
     )
 
     if config.refine:
-        log_blocks = log_abs(blocks)
-
         def objective(theta):
             # outside the window every point scores the largest distance, so
             # no vertex there can beat d_min, and alpha = p/2 stays below 2

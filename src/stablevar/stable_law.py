@@ -93,9 +93,11 @@ def _cms_standard(alpha: float, beta: float, v: np.ndarray, w: np.ndarray, t: np
     """Chambers-Mallows-Stuck transform, in place, to S_alpha(1, beta, 0) in
     this module's parametrization for every alpha, 1 and 2 included: v holds
     the uniform angles on (-pi/2, pi/2) and receives the draws, w holds the
-    standard exponentials, and w and t (the shape of v) are overwritten. Every
-    operation is the elementwise one of the textbook formula, in its order,
-    so the draws do not depend on how the caller splits the arrays."""
+    standard exponentials, and w and t (the shape of v) are overwritten. At
+    alpha = 1 every operation is the elementwise one of the textbook formula,
+    in its order; at alpha != 1 that of the formula with each sine and cosine
+    written through the tangent of its half angle. So the draws do not depend
+    on how the caller splits the arrays."""
     if abs(alpha - 1.0) < ALPHA_ONE_TOL:
         # (2/pi) (bv tan v + beta log((pi/2) w cos v / bv)), bv = pi/2 - beta v
         w *= math.pi / 2.0
@@ -112,26 +114,50 @@ def _cms_standard(alpha: float, beta: float, v: np.ndarray, w: np.ndarray, t: np
         v *= 2.0 / math.pi
         return
     # s sin(a) / cos(v)^(1/alpha) * (cos(v - a) / w)^((1 - alpha)/alpha),
-    # a = alpha (v + b); a is formed twice rather than held in a fourth buffer.
-    # At alpha = 2, where tan(pi) rounds to -1.2e-16, zeta is 0 so that beta
-    # has no effect: the draw is 2 sin(v) sqrt(w), N(0, 2) as in Box-Muller
+    # a = alpha (v + b), with each sine and cosine taken from tau, the
+    # tangent of its half angle: cos = 2 / (1 + tau^2) - 1 and
+    # sin = 2 tau / (1 + tau^2). numpy's tan runs a SIMD loop, its sin and
+    # cos scalar libm at several times the cost. Halving is exact, so v/2,
+    # a/2 = alpha (v/2 + b/2) and (v - a)/2 are the exact halves of the
+    # textbook's rounded angles; a/2 is formed twice rather than held in a
+    # fourth buffer. Every half angle of a cosine lies in (-pi/4, pi/4), so
+    # only its 2 / (1 + tau^2) - 1 cancels, as the cosine nears 0 at
+    # |v| -> pi/2: a draw is within about 16 eps / (min(1, alpha)
+    # (pi/2 - |v|)) relative of the sin/cos form. At alpha = 2, where
+    # tan(pi) rounds to -1.2e-16, zeta is 0 so that beta has no effect: the
+    # draw is 2 sin(v) sqrt(w), N(0, 2) as in Box-Muller, to that bound
+    # (2.4e-9 relative at u = 1 - 8e-9)
     zeta = _zeta(alpha, beta)
     b = math.atan(zeta) / alpha
     s = (1.0 + zeta * zeta) ** (1.0 / (2.0 * alpha))
-    np.add(v, b, out=t)
+    v *= 0.5
+    np.add(v, b / 2.0, out=t)
     t *= alpha
     np.subtract(v, t, out=t)
-    np.cos(t, out=t)
+    _cos_from_half_tan(t, t)
     np.divide(t, w, out=w)
     w **= (1.0 - alpha) / alpha
-    np.add(v, b, out=t)
+    _cos_from_half_tan(v, t)
+    t **= 1.0 / alpha
+    w /= t
+    np.add(v, b / 2.0, out=t)
     t *= alpha
-    np.sin(t, out=t)
-    t *= s
-    np.cos(v, out=v)
-    v **= 1.0 / alpha
-    np.divide(t, v, out=v)
+    np.tan(t, out=v)
+    np.multiply(v, v, out=t)
+    t += 1.0
+    v *= 2.0 * s
+    v /= t
     v *= w
+
+
+def _cos_from_half_tan(half: np.ndarray, t: np.ndarray) -> None:
+    """cos x = 2 / (1 + tau^2) - 1, tau = tan(x/2), into t from the half
+    angles x/2 in half, which may be t itself."""
+    np.tan(half, out=t)
+    t *= t
+    t += 1.0
+    np.divide(2.0, t, out=t)
+    t -= 1.0
 
 
 class StableDraws:

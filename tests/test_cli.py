@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from stablevar import cli, path_sim
+from stablevar import cli, estimator, path_sim, pvariation
 from stablevar.cli import CSVParseError, main, read_series, write_series
 from stablevar.estimator import block_split
 
@@ -400,6 +400,24 @@ class TestEstimate:
         assert fixed[0] == "p,alpha,D"
         assert len(fixed) == 1 + 4
         assert "plot" in open(base + ".gp").read()
+
+    def test_blocks_log_taken_once(self, tmp_path, monkeypatch):
+        # the surface, the refine and the --fixed-c row share one log|blocks|
+        calls = []
+
+        def counted(x):
+            calls.append(np.shape(x))
+            return pvariation.log_abs(x)
+
+        monkeypatch.setattr(cli, "log_abs", counted)
+        monkeypatch.setattr(estimator, "log_abs", counted)
+        inp = self.simulate_input(tmp_path, m=40)
+        assert run([
+            "estimate", "--input", inp, "--output", str(tmp_path / "est"),
+            "--p-min", "1.2", "--p-max", "1.8", "--p-step", "0.2",
+            "--c-min", "4.0", "--c-max", "9.0", "--c-step", "1.0", "--fixed-c", "6.35",
+        ]) == 0
+        assert calls == [(40, 100)]
 
     def test_refine_onto_window_edge_warns(self, tmp_path, capsys):
         # Gaussian noise on 20 small blocks: the grid argmin is the interior

@@ -470,7 +470,7 @@ class TestEstimate:
 
     @pytest.mark.parametrize("refine", [True, False])
     def test_takes_the_log_of_the_blocks_at_most_twice(self, monkeypatch, refine):
-        # once for the grid search and once for all the refine's evaluations
+        # once: the grid search and all the refine's evaluations share it
         calls = []
 
         def spy(x):
@@ -480,7 +480,7 @@ class TestEstimate:
         monkeypatch.setattr(estimator, "log_abs", spy)
         blocked = self.make_blocked(StableParams(0.75, 6.35), seed=8, m=40, n=50)
         estimate(blocked, GridConfig(refine=refine))
-        assert calls == [blocked.shape] * (2 if refine else 1)
+        assert calls == [blocked.shape]
 
     def test_boundary_flag_on_gaussian_input(self):
         # Gaussian data pushes p* to the top of a deliberately short p window

@@ -3,8 +3,10 @@
 The digests cover `stablevar simulate` CSV bytes, `estimate` output files, the
 scenario statistic samples and `simulate_levy` paths. Float results depend on
 the host's libm and SIMD code paths, so each digest is only checked on the
-numpy version and machine it was recorded on; elsewhere the test skips and
-says why.
+numpy version, machine and SIMD dispatch it was recorded on; elsewhere the
+test skips and says why. On x86_64 numpy 2.4.6 runs its AVX-512 tan, power,
+exp and log loops only where it dispatches AVX512_SKX, and the CMS draws take
+all four.
 
 A change that is meant to alter output bits must update the digests and say
 so. Print the current digests with
@@ -32,43 +34,43 @@ from stablevar.pvariation import compensator
 from stablevar.scenarios import levy_statistic_sample, sde_statistic_pairs
 from stablevar.stable_law import RandomStream, StableParams
 
-RECORDED_ON = {"numpy": "2.4.6", "machine": "x86_64"}
+RECORDED_ON = {"numpy": "2.4.6", "machine": "x86_64", "AVX512_SKX": True}
 
 GOLDEN = {
     "simulate.csv":
-        "c5a84ef94da02933f4dea427ae499b9b7a95e587bb3ee8716257a5ab83c26220",
+        "8cedc33b16d23839f1cc83701ec05e212b3c463dae31f8aec12e266209ea3678",
     "estimate.surface.csv":
-        "856918d53340dddbaa1b074fa8a746d72005aad3451360cc02e986c2854e3eab",
+        "a8626b19f70674390002b78ed40d3bb3d111a7eefeb3b95fcf57244dbcde579a",
     "estimate.slice.csv":
-        "645a790c5aeb4477c3b2d514f29e5da16f63c25e0fb6843a560a24bc20644a77",
+        "922cd5ec0149807fc408dc8a74bbf91ded697f15eba718a22e0cca88f1da0eac",
     "estimate.result.txt":
-        "bd70c996d63215de3319d2aa14c2a38410866e4a0c2d3ea24991f3251b0c4837",
+        "aa1b2b513f14e263305fa0b1909884a4e03025bf2ccc4536db7bb8dece15d6dd",
     "estimate.fixedc.csv":
-        "048a9db1d70226df0bf1c083ae32b2eccd7fd229c3ce76a7ca1046b6fac75a57",
+        "8ee39ed5b308049df5dc3beba9dd1dce292e28abbc4be9fb5bd1036b3e0e3dbc",
     "levy.thm1-sub":
-        "e8da3540d551d7d9cb79f9a1d419f09126521d043c12cd42b6e157012d70a358",
+        "7362f0bf0d211307addaa21c09f13d2bb6b845ef8c2324c71c9c9d0a5741e9d1",
     "levy.thm1-sub.two-blocks":
-        "4141683ec9e157b08c4cb2b41a4d6d443e3f1f3fb6f0465c471deb3ea415b422",
+        "4209e9c1804b7ba65ef4aa9904d1f6e8d4c73986c15ca562f113fa4655d5d56c",
     "levy.thm1-comp":
-        "8779da12e02ee8aa107f50f2553b5c1c16f909cfc50dad5b89e9c30f1ae87d27",
+        "06521945e6d596ade9a12e9b399fea1aa2da3844948d3f6b16a2cbdae7dfb063",
     "levy.thm3-lipschitz":
-        "122c77c4a61d95e17aba34cba356fa30be3569de17ba6fd6669608c9ed19e407",
+        "85c04c6f099ca2157224140ad8e1aa83d817b433fbe177e93f0d3eef7438c7eb",
     "theorem-sample.thm3-lipschitz":
-        "26a3101436457f145df5521ae7b4713950f6dfa8c0cd35e20ee5673fd8b90b77",
+        "09254f3024efaa34108b82c2990b9b7175314346532f4de1567c9003d28602a2",
     "sde.cor-sde.sde":
-        "20796d9cc7dd9d8b87c926f8d8b12220e0df14085568673f08c3845448476b82",
+        "64c99f2606e610eb36351c58796b2452758cb9464334a0339cd5d12cab30ee37",
     "sde.cor-sde.levy":
-        "24a71462c92879cc16c1c388457e69d33a336e1f99d7576e74b660f7cd31d2d5",
+        "a3c7ccbfc1c66dc236956d1b2e538ed3c0a3d21f539bb38eb7b1d2c626d8d57d",
     # n = 10^4 spans 10 chunks of path_sim.CHUNK_STEPS, whose sums are added
     # chunk by chunk; the n = 300 digests above span one chunk
     "sde.cor-sde.two-blocks.sde":
-        "8d143c5132bd8f1b33591d0c002ac48e87f87b05d704ddd2908780ad3b8b8f39",
+        "36703830ad0c23f6d80738079c77fb08f6b79e4c742ca4b283be7671350c7d56",
     "sde.cor-sde.two-blocks.levy":
-        "7f186d421429bf30bd39c67b400626dbd558ccb588e24a1ad2d08827e35b1d38",
+        "500309bf2ccc0bbd46606ca4ddf142f4e01449d0f79539f62a266a1575254c60",
     "simulate_levy.a075":
-        "8d93f544e3640e4ffb147c3c14264f5ac20267f49d402b0ce0a8c42f43ecc109",
+        "310ce7e16029895c229848528bc4ecfc684cfe4f9dc06cc0de21b74b22b98a7f",
     "simulate_levy.a15.T2":
-        "82cf3e92dd1e764ea88adb129ca9e4a30536b9079c475a693a9841217f1b7509",
+        "444a959e39f12f01aac1bd756a6c2aa91af3d477b76cf9158835ff0abb875e29",
     "simulate_levy.a1.skewed":
         "bc34de5917fb64172a112bdf037b7bbb8bfa596677a9e81b272dbbd33e6a9c0d",
 }
@@ -138,7 +140,12 @@ def current_digests() -> dict:
 
 
 def environment() -> dict:
-    return {"numpy": np.__version__, "machine": platform.machine()}
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return {"numpy": np.__version__, "machine": platform.machine(),
+            "AVX512_SKX": __cpu_features__.get("AVX512_SKX", False)}
 
 
 def test_golden_hashes():
