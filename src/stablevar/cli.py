@@ -259,7 +259,7 @@ def cmd_estimate(args) -> int:
         result = estimate(blocks, cfg, log_blocks)
         fixed = None
         if args.fixed_c is not None:
-            fixed = ks_surface(blocks, [args.fixed_c], result.surface.p_grid, log_blocks)
+            fixed = ks_surface(log_blocks, [args.fixed_c], result.surface.p_grid)
     except (EstimationError, ValueError) as exc:
         print(f"estimation aborted: {exc}", file=sys.stderr)
         return EXIT_GRID

@@ -124,16 +124,14 @@ class KSSurface:
     d_values: np.ndarray
 
 
-def ks_surface(blocks: np.ndarray, c_grid, p_grid, log_blocks: np.ndarray | None = None) -> KSSurface:
-    """Evaluate D_n(C, p) of the (m, n) blocks on the full grid: log|blocks|
-    is taken once, unless the caller passes it as log_blocks, then per p one
-    ks_distance call walks the C axis in chunks of KS_CHUNK_VALUES pairs."""
+def ks_surface(log_blocks: np.ndarray, c_grid, p_grid) -> KSSurface:
+    """Evaluate D_n(C, p) of (m, n) blocks, given as log_blocks =
+    log_abs(blocks), on the full grid: per p one ks_distance call walks the
+    C axis in chunks of KS_CHUNK_VALUES pairs."""
     c_grid = np.asarray(c_grid, dtype=float)
     p_grid = np.asarray(p_grid, dtype=float)
     if len(c_grid) == 0 or len(p_grid) == 0:
         raise ValueError("grids must be non-empty")
-    if log_blocks is None:
-        log_blocks = log_abs(blocks)
     d = np.column_stack([_coupled_distance(log_blocks, c_grid, p) for p in p_grid])
     bad = np.argwhere(~np.isfinite(d))
     if len(bad) > 0:
@@ -308,7 +306,7 @@ def estimate(blocks: np.ndarray, config: GridConfig | None = None,
         raise EstimationError("every block p-variation is zero (constant series)")
     if log_blocks is None:
         log_blocks = log_abs(blocks)
-    surf = ks_surface(blocks, config.c_grid(), config.p_grid(), log_blocks)
+    surf = ks_surface(log_blocks, config.c_grid(), config.p_grid())
     grid_argmin, tie_count, local_minima, boundary = _grid_summary(
         surf.c_grid, surf.p_grid, surf.d_values)
     c_star, p_star, d_min = grid_argmin

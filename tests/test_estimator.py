@@ -150,11 +150,13 @@ class TestKsSurface:
         return block_split(inc, n)
 
     def test_values_in_unit_interval(self):
-        surf = ks_surface(self.make_blocked(), np.arange(1.0, 4.0, 0.5), np.arange(1.0, 2.5, 0.25))
+        surf = ks_surface(log_abs(self.make_blocked()), np.arange(1.0, 4.0, 0.5),
+                          np.arange(1.0, 2.5, 0.25))
         assert np.all((surf.d_values >= 0.0) & (surf.d_values <= 1.0))
 
     def test_argmin_attains_minimum(self):
-        surf = ks_surface(self.make_blocked(), np.arange(1.0, 4.0, 0.5), np.arange(1.0, 2.5, 0.25))
+        surf = ks_surface(log_abs(self.make_blocked()), np.arange(1.0, 4.0, 0.5),
+                          np.arange(1.0, 2.5, 0.25))
         argmin = estimator._grid_summary(surf.c_grid, surf.p_grid, surf.d_values)[0]
         assert argmin[2] == float(np.min(surf.d_values))
 
@@ -166,29 +168,29 @@ class TestKsSurface:
     def test_non_finite_distance_rejected(self, monkeypatch):
         monkeypatch.setattr(estimator, "ks_distance", lambda v, c: np.full(np.shape(c), np.nan))
         with pytest.raises(EstimationError, match="non-finite distance at grid point C=1.0, p=1.0"):
-            ks_surface(self.make_blocked(), [1.0, 2.0], [1.0])
+            ks_surface(log_abs(self.make_blocked()), [1.0, 2.0], [1.0])
 
     def test_block_permutation_invariance(self):
         blocked = self.make_blocked()
         shuffled = blocked[np.random.default_rng(6).permutation(len(blocked))]
         c_grid, p_grid = np.arange(1.0, 4.0, 0.5), np.arange(1.0, 2.5, 0.25)
-        a = ks_surface(blocked, c_grid, p_grid)
-        b = ks_surface(shuffled, c_grid, p_grid)
+        a = ks_surface(log_abs(blocked), c_grid, p_grid)
+        b = ks_surface(log_abs(shuffled), c_grid, p_grid)
         np.testing.assert_array_equal(a.d_values, b.d_values)
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
-            ks_surface(self.make_blocked(), [], [1.0])
+            ks_surface(log_abs(self.make_blocked()), [], [1.0])
 
     # m = 500 blocks: a chunk holds KS_CHUNK_VALUES // 500 = 2,000 C points
     def test_memory_does_not_grow_with_the_c_axis(self):
-        blocks = np.random.default_rng(7).standard_cauchy((500, 10))
+        log_blocks = log_abs(np.random.default_rng(7).standard_cauchy((500, 10)))
         peaks = []
         for points in (2_000, 20_000):
             c_grid = np.linspace(0.5, 20.0, points)
             tracemalloc.start()
             try:
-                ks_surface(blocks, c_grid, [1.5])
+                ks_surface(log_blocks, c_grid, [1.5])
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -196,10 +198,9 @@ class TestKsSurface:
 
     def test_chunked_distances_equal_scalar_distances(self):
         # 4,100 C points: two full chunks and a partial one
-        blocks = np.random.default_rng(8).standard_cauchy((500, 10))
+        log_blocks = log_abs(np.random.default_rng(8).standard_cauchy((500, 10)))
         c_grid = np.linspace(0.5, 20.0, 4_100)
-        d = ks_surface(blocks, c_grid, [1.5]).d_values[:, 0]
-        log_blocks = log_abs(blocks)
+        d = ks_surface(log_blocks, c_grid, [1.5]).d_values[:, 0]
         scalar = [estimator._coupled_distance(log_blocks, c, 1.5) for c in c_grid.tolist()]
         np.testing.assert_array_equal(d, scalar)
 
@@ -469,7 +470,7 @@ class TestEstimate:
         assert res.boundary
 
     @pytest.mark.parametrize("refine", [True, False])
-    def test_takes_the_log_of_the_blocks_at_most_twice(self, monkeypatch, refine):
+    def test_takes_the_log_of_the_blocks_once(self, monkeypatch, refine):
         # once: the grid search and all the refine's evaluations share it
         calls = []
 
